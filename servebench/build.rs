@@ -1,0 +1,20 @@
+//! Records the toolchain and build profile, so every result says what
+//! built it.
+
+use std::process::Command;
+
+fn main() {
+    let rustc = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".into());
+    let version = Command::new(rustc)
+        .arg("-V")
+        .output()
+        .ok()
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map(|s| s.trim().to_string())
+        .unwrap_or_else(|| "unknown".into());
+    println!("cargo:rustc-env=SERVEBENCH_RUSTC={version}");
+    let profile = std::env::var("PROFILE").unwrap_or_else(|_| "unknown".into());
+    let opt = std::env::var("OPT_LEVEL").unwrap_or_else(|_| "?".into());
+    println!("cargo:rustc-env=SERVEBENCH_PROFILE={profile} (opt-level {opt})");
+    println!("cargo:rerun-if-changed=build.rs");
+}
