@@ -35,7 +35,7 @@ use dds_server::{Client, Server, ServerConfig};
 use dds_sim::metrics::{Series, SeriesSet};
 use dds_sim::Element;
 
-use crate::output::default_output_dir;
+use crate::output::{default_output_dir, gate_verdict};
 use crate::Scale;
 
 const SHARDS: usize = 2;
@@ -292,15 +292,12 @@ pub fn run(scale: &Scale) -> Vec<SeriesSet> {
         });
     }
 
-    let gate = if parity_ratio >= PARITY_FLOOR
-        && byte_exact
-        && max_live_conns >= 1024
-        && per_idle_bytes <= MEM_CEILING_BYTES
-    {
-        "pass"
-    } else {
-        "fail"
-    };
+    let gate = gate_verdict(
+        parity_ratio >= PARITY_FLOOR
+            && byte_exact
+            && max_live_conns >= 1024
+            && per_idle_bytes <= MEM_CEILING_BYTES,
+    );
 
     let mut parity_set = SeriesSet::new(
         format!(
@@ -374,6 +371,9 @@ mod tests {
             json.contains("\"max_live_conns\": 4096"),
             "crowd died:\n{json}"
         );
-        assert!(json.contains("\"gate\": \"pass\"") || json.contains("\"gate\": \"fail\""));
+        assert!(
+            json.contains(&format!("\"gate\": \"{}\"", gate_verdict(true)))
+                || json.contains(&format!("\"gate\": \"{}\"", gate_verdict(false)))
+        );
     }
 }

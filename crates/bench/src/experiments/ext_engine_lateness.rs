@@ -31,7 +31,7 @@ use dds_engine::{Engine, EngineConfig, TenantId};
 use dds_sim::metrics::{Series, SeriesSet};
 use dds_sim::{Element, Slot};
 
-use crate::output::default_output_dir;
+use crate::output::{default_output_dir, gate_verdict};
 use crate::Scale;
 
 const SHARDS: usize = 4;
@@ -249,11 +249,7 @@ pub fn run(scale: &Scale) -> Vec<SeriesSet> {
 
     let overhead = best_baseline / best_zero.max(1e-9);
     let drops = validate_drop_counter();
-    let gate = if overhead <= OVERHEAD_CEILING && drops.0 == drops.1 {
-        "pass"
-    } else {
-        "fail"
-    };
+    let gate = gate_verdict(overhead <= OVERHEAD_CEILING && drops.0 == drops.1);
 
     let mut set = SeriesSet::new(
         format!(
@@ -302,7 +298,10 @@ mod tests {
         let json = std::fs::read_to_string(default_output_dir().join("BENCH_engine_lateness.json"))
             .expect("BENCH_engine_lateness.json written");
         assert!(json.contains("\"schema\": \"dds-engine-lateness/v1\""));
-        assert!(json.contains("\"gate\": \"pass\"") || json.contains("\"gate\": \"fail\""));
+        assert!(
+            json.contains(&format!("\"gate\": \"{}\"", gate_verdict(true)))
+                || json.contains(&format!("\"gate\": \"{}\"", gate_verdict(false)))
+        );
         assert!(json.contains("\"overhead_ceiling\": 1.1"));
     }
 

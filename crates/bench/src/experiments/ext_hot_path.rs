@@ -35,7 +35,7 @@ use dds_server::{Client, Server};
 use dds_sim::metrics::{Series, SeriesSet};
 use dds_sim::Element;
 
-use crate::output::default_output_dir;
+use crate::output::{default_output_dir, gate_verdict};
 use crate::Scale;
 
 const SAMPLE_SIZE: usize = 8;
@@ -260,11 +260,7 @@ pub fn run(scale: &Scale) -> Vec<SeriesSet> {
     let speedup = batched_eps / looped_eps.max(1e-9);
     #[allow(clippy::cast_precision_loss)]
     let delta_ratio = delta_bytes as f64 / (full_bytes as f64).max(1e-9);
-    let gate = if speedup >= SPEEDUP_FLOOR && delta_ratio <= DELTA_CEILING {
-        "pass"
-    } else {
-        "fail"
-    };
+    let gate = gate_verdict(speedup >= SPEEDUP_FLOOR && delta_ratio <= DELTA_CEILING);
 
     let mut rate_set = SeriesSet::new(
         format!(
@@ -335,7 +331,10 @@ mod tests {
         let json = std::fs::read_to_string(default_output_dir().join("BENCH_hot_path.json"))
             .expect("record written");
         assert!(json.contains("\"schema\": \"dds-hot-path/v1\""));
-        assert!(json.contains("\"gate\": \"pass\"") || json.contains("\"gate\": \"fail\""));
+        assert!(
+            json.contains(&format!("\"gate\": \"{}\"", gate_verdict(true)))
+                || json.contains(&format!("\"gate\": \"{}\"", gate_verdict(false)))
+        );
         // The delta bound is deterministic (no timing involved): at this
         // scale it must already hold.
         assert!(json.contains("\"ceiling\": 0.05"));

@@ -26,7 +26,7 @@ use dds_data::{MultiTenantStream, TraceProfile};
 use dds_engine::{Engine, EngineConfig, TenantId};
 use dds_sim::metrics::{Series, SeriesSet};
 
-use crate::output::default_output_dir;
+use crate::output::{default_output_dir, gate_verdict};
 use crate::Scale;
 
 const SHARDS: usize = 4;
@@ -164,13 +164,7 @@ pub fn run(scale: &Scale) -> Vec<SeriesSet> {
         let noop_rate = std::fs::read_to_string(dir.join("BENCH_obs_overhead_noop.json"))
             .ok()
             .and_then(|s| extract_rate(&s));
-        let gate = noop_rate.map(|nr| {
-            if rate >= (1.0 - MAX_OVERHEAD_FRACTION) * nr {
-                "pass"
-            } else {
-                "fail"
-            }
-        });
+        let gate = noop_rate.map(|nr| gate_verdict(rate >= (1.0 - MAX_OVERHEAD_FRACTION) * nr));
         (
             dir.join("BENCH_obs_overhead.json"),
             to_json(scale, elements, rate, noop_rate, gate),

@@ -6,6 +6,21 @@ use std::path::{Path, PathBuf};
 
 use dds_sim::metrics::SeriesSet;
 
+/// The verdict a gated `BENCH_*.json` record carries: `"pass"` or
+/// `"fail"` from a release build, `"n/a"` from a build with debug
+/// assertions (what `cargo test` writes), whose timings say nothing
+/// about the bound.
+#[must_use]
+pub fn gate_verdict(pass: bool) -> &'static str {
+    if cfg!(debug_assertions) {
+        "n/a"
+    } else if pass {
+        "pass"
+    } else {
+        "fail"
+    }
+}
+
 /// Default directory for experiment CSVs, relative to the workspace.
 #[must_use]
 pub fn default_output_dir() -> PathBuf {

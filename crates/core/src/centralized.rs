@@ -184,11 +184,22 @@ impl CentralizedSampler {
 
     /// Observe one element.
     pub fn observe(&mut self, e: Element) {
+        self.observe_hashed(e, self.hasher.unit(e.0));
+    }
+
+    /// Observe `e` given its hash `h` under [`CentralizedSampler::hasher`].
+    pub fn observe_hashed(&mut self, e: Element, h: UnitValue) {
         self.total_seen += 1;
         if self.seen.insert(e) {
             self.distinct_seen += 1;
         }
-        self.bottom.offer(e, self.hasher.unit(e.0));
+        self.bottom.offer(e, h);
+    }
+
+    /// The hash function the sampler ranks elements by.
+    #[must_use]
+    pub fn hasher(&self) -> &SeededHash {
+        &self.hasher
     }
 
     /// The current sample, ascending by hash.

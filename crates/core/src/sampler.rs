@@ -106,6 +106,32 @@ pub trait DistinctSampler: Send {
         self.observe_batch(batch);
     }
 
+    /// The hash [`DistinctSampler::observe_hashed`] expects: `Some` for
+    /// samplers that use the caller's hash (for an instance built from
+    /// a spec, [`SamplerSpec::hasher`]), `None` for those that ignore it.
+    fn hasher(&self) -> Option<SeededHash> {
+        None
+    }
+
+    /// Observe `e` at the current clock, given its hash `h` under
+    /// [`DistinctSampler::hasher`]. Every instance of one spec shares
+    /// that hash, so a serving layer can hash a whole mixed-tenant batch
+    /// in one pass. Identical to [`DistinctSampler::observe`]; the
+    /// default ignores `h`, for samplers that hash each element under
+    /// several functions.
+    fn observe_hashed(&mut self, e: Element, h: u64) {
+        let _ = h;
+        self.observe(e);
+    }
+
+    /// The batched [`DistinctSampler::observe_hashed`]: `hashes[i]` is
+    /// the hash of `batch[i]`. Identical to
+    /// [`DistinctSampler::observe_batch`], which the default calls.
+    fn observe_batch_hashed(&mut self, batch: &[Element], hashes: &[u64]) {
+        let _ = hashes;
+        self.observe_batch(batch);
+    }
+
     /// The current distinct sample. For bottom-`s` samplers this is
     /// ascending by hash; for with-replacement it is the per-copy minima
     /// in copy order. Window samplers answer as of the current clock.
@@ -183,6 +209,22 @@ fn pump_ups<S, C>(
 impl DistinctSampler for CentralizedSampler {
     fn observe(&mut self, e: Element) {
         CentralizedSampler::observe(self, e);
+    }
+
+    fn hasher(&self) -> Option<SeededHash> {
+        Some(*CentralizedSampler::hasher(self))
+    }
+
+    #[inline]
+    fn observe_hashed(&mut self, e: Element, h: u64) {
+        CentralizedSampler::observe_hashed(self, e, UnitValue(h));
+    }
+
+    fn observe_batch_hashed(&mut self, batch: &[Element], hashes: &[u64]) {
+        debug_assert_eq!(batch.len(), hashes.len(), "one hash per element");
+        for (&e, &h) in batch.iter().zip(hashes) {
+            CentralizedSampler::observe_hashed(self, e, UnitValue(h));
+        }
     }
 
     fn sample(&self) -> Vec<Element> {
@@ -276,26 +318,40 @@ impl DistinctSampler for FusedInfinite {
 
     fn observe_batch(&mut self, batch: &[Element]) {
         // Hash the whole batch in one pass, then run Algorithm 1's
-        // compare loop against the precomputed hashes; only threshold
-        // beats (rare after warm-up) touch the message pump.
+        // compare loop against the precomputed hashes.
         let mut hashes = std::mem::take(&mut self.hash_buf);
         self.site
             .hasher()
             .hash_u64_batch_into(batch.iter().map(|e| e.0), &mut hashes);
-        for (&e, &h) in batch.iter().zip(&hashes) {
-            if let Some(up) = self.site.observe_hashed(e, UnitValue(h)) {
-                self.up_buf.push(up);
-                pump_ups(
-                    &mut self.site,
-                    &mut self.coordinator,
-                    Slot(0),
-                    &mut self.up_buf,
-                    &mut self.down_buf,
-                    &mut self.messages,
-                );
-            }
-        }
+        self.observe_batch_hashed(batch, &hashes);
         self.hash_buf = hashes;
+    }
+
+    fn hasher(&self) -> Option<SeededHash> {
+        Some(*self.site.hasher())
+    }
+
+    #[inline]
+    fn observe_hashed(&mut self, e: Element, h: u64) {
+        // Only threshold beats (rare after warm-up) touch the pump.
+        if let Some(up) = self.site.observe_hashed(e, UnitValue(h)) {
+            self.up_buf.push(up);
+            pump_ups(
+                &mut self.site,
+                &mut self.coordinator,
+                Slot(0),
+                &mut self.up_buf,
+                &mut self.down_buf,
+                &mut self.messages,
+            );
+        }
+    }
+
+    fn observe_batch_hashed(&mut self, batch: &[Element], hashes: &[u64]) {
+        debug_assert_eq!(batch.len(), hashes.len(), "one hash per element");
+        for (&e, &h) in batch.iter().zip(hashes) {
+            self.observe_hashed(e, h);
+        }
     }
 
     fn sample(&self) -> Vec<Element> {
@@ -529,27 +585,41 @@ impl<T: CandidateSet + Default + Send> DistinctSampler for FusedSliding<T> {
 
     fn observe_batch(&mut self, batch: &[Element]) {
         // One hash pass over the whole batch, then Algorithm 3's
-        // insert-and-compare loop against the precomputed hashes. Each
-        // observation yields at most one up-message, so the pump runs
-        // only on threshold beats.
+        // insert-and-compare loop against the precomputed hashes.
         let mut hashes = std::mem::take(&mut self.hash_buf);
         self.site
             .hasher()
             .hash_u64_batch_into(batch.iter().map(|e| e.0), &mut hashes);
-        for (&e, &h) in batch.iter().zip(&hashes) {
-            if let Some(up) = self.site.observe_hashed(e, UnitValue(h), self.now) {
-                self.up_buf.push(up);
-                pump_ups(
-                    &mut self.site,
-                    &mut self.coordinator,
-                    self.now,
-                    &mut self.up_buf,
-                    &mut self.down_buf,
-                    &mut self.messages,
-                );
-            }
-        }
+        self.observe_batch_hashed(batch, &hashes);
         self.hash_buf = hashes;
+    }
+
+    fn hasher(&self) -> Option<SeededHash> {
+        Some(*self.site.hasher())
+    }
+
+    #[inline]
+    fn observe_hashed(&mut self, e: Element, h: u64) {
+        // Each observation yields at most one up-message, so the pump
+        // runs only on threshold beats.
+        if let Some(up) = self.site.observe_hashed(e, UnitValue(h), self.now) {
+            self.up_buf.push(up);
+            pump_ups(
+                &mut self.site,
+                &mut self.coordinator,
+                self.now,
+                &mut self.up_buf,
+                &mut self.down_buf,
+                &mut self.messages,
+            );
+        }
+    }
+
+    fn observe_batch_hashed(&mut self, batch: &[Element], hashes: &[u64]) {
+        debug_assert_eq!(batch.len(), hashes.len(), "one hash per element");
+        for (&e, &h) in batch.iter().zip(hashes) {
+            self.observe_hashed(e, h);
+        }
     }
 
     fn advance(&mut self, now: Slot) {

@@ -78,11 +78,13 @@ use std::io;
 use crossbeam::channel::{unbounded, Receiver};
 
 use dds_core::checkpoint::{kind, restore_sampler, CheckpointError, StateReader, StateWriter};
-use dds_core::sampler::{DistinctSampler, SamplerKind, SamplerSpec};
+use dds_core::sampler::{SamplerKind, SamplerSpec};
 use dds_hash::fnv::fnv1a_64;
 use dds_sim::Slot;
 
-use crate::{Engine, EngineConfig, EngineError, ShardCmd, ShardState, TenantId};
+use crate::{
+    Engine, EngineConfig, EngineError, ShardCmd, ShardState, Tenant, TenantId, TenantState,
+};
 
 /// Container magic: `b"DDSE"` read as a little-endian `u32`.
 pub const MAGIC: u32 = u32::from_le_bytes(*b"DDSE");
@@ -375,8 +377,11 @@ impl Engine {
     ///
     /// # Errors
     /// Returns a [`CheckpointError`] if `base` is not a valid full
-    /// document or describes a different deployment shape (shards,
-    /// queue capacity, or spec).
+    /// document, describes a different deployment shape (shards,
+    /// queue capacity, or spec), or files any tenant under a section
+    /// other than [`Engine::shard_of`]'s (a base written before a
+    /// placement change: take a fresh full checkpoint after restoring
+    /// it).
     ///
     /// # Panics
     /// Panics if the engine is shut down or a worker is gone (like
@@ -390,6 +395,21 @@ impl Engine {
         {
             return Err(CheckpointError::Corrupt(
                 "base checkpoint is from a different deployment shape",
+            ));
+        }
+        // A delta's sections are this engine's shards, and `apply_delta`
+        // overlays them section by section. A base that files a tenant
+        // under another section (one written by a build that placed
+        // tenants by another rule; restore re-routes them) would keep
+        // its stale copy there beside the delta's fresh one.
+        if doc.per_shard.iter().enumerate().any(|(i, shard)| {
+            shard
+                .tenants
+                .keys()
+                .any(|&t| self.shard_of(TenantId(t)) != i)
+        }) {
+            return Err(CheckpointError::Corrupt(
+                "base checkpoint places tenants unlike this engine",
             ));
         }
         self.guard().expect("engine checkpoints");
@@ -521,11 +541,9 @@ impl Engine {
         let mut records = Vec::with_capacity(shards);
         // Tenants (and buffered late elements) re-routed by the engine's
         // own placement hash.
-        let mut live: Vec<Vec<(u64, u64, Box<dyn DistinctSampler>)>> = Vec::new();
-        let mut parked: Vec<Vec<(u64, u64, Vec<u8>)>> = Vec::new();
+        let mut tenants: Vec<Vec<(u64, Tenant)>> = Vec::new();
         let mut buffers: Vec<BTreeMap<u64, Vec<(u64, u64)>>> = Vec::new();
-        live.resize_with(shards, Vec::new);
-        parked.resize_with(shards, Vec::new);
+        tenants.resize_with(shards, Vec::new);
         buffers.resize_with(shards, BTreeMap::new);
 
         let engine = Engine::spawn(EngineConfig {
@@ -549,15 +567,22 @@ impl Engine {
                 let stamp = r.get_u64()?;
                 let blob_len = r.get_len(1)?;
                 let blob = r.get_bytes(blob_len)?;
-                let home = engine.shard_of(TenantId(tenant));
-                if is_parked {
-                    // Validate now so a corrupt blob fails the restore,
-                    // not a later rehydration inside a shard worker.
-                    restore_sampler(blob)?;
-                    parked[home].push((tenant, stamp, blob.to_vec()));
-                } else {
-                    live[home].push((tenant, stamp, restore_sampler(blob)?));
+                // Validate parked blobs now too, so a corrupt one fails
+                // the restore, not a later rehydration inside a worker.
+                // Shards hash each batch once under the spec's hash, so
+                // a tenant must use that hash if it uses one at all.
+                let sampler = restore_sampler(blob)?;
+                if sampler.hasher().is_some_and(|h| h != spec.hasher()) {
+                    return Err(CheckpointError::Corrupt(
+                        "tenant sampler hashes unlike the document's spec",
+                    ));
                 }
+                let state = if is_parked {
+                    TenantState::Parked(blob.to_vec())
+                } else {
+                    TenantState::Live(sampler)
+                };
+                tenants[engine.shard_of(TenantId(tenant))].push((tenant, Tenant { stamp, state }));
             }
             for (slot, entries) in decode_buffer(&mut r)? {
                 for (tenant, element) in entries {
@@ -576,9 +601,9 @@ impl Engine {
         }
         r.expect_end()?;
 
-        for (i, (record, ((live, parked), buffer))) in records
+        for (i, (record, (tenants, buffer))) in records
             .iter()
-            .zip(live.into_iter().zip(parked).zip(buffers))
+            .zip(tenants.into_iter().zip(buffers))
             .enumerate()
         {
             let shard = &engine.shards[i];
@@ -587,8 +612,7 @@ impl Engine {
                 .send(ShardCmd::Install {
                     watermark: record.watermark,
                     seq: record.seq,
-                    live,
-                    parked,
+                    tenants,
                     buffer: buffer.into_iter().collect(),
                 })
                 .expect("shard worker alive");
@@ -987,6 +1011,206 @@ mod tests {
             "compaction diverged from live"
         );
         let _ = engine.shutdown();
+    }
+
+    /// A delta's per-shard `(base_seq, new_seq)` and its tenant
+    /// records as `(shard, tenant, parked, stamp)`.
+    #[allow(clippy::type_complexity)]
+    fn delta_records(delta: &[u8]) -> (Vec<(u64, u64)>, Vec<(usize, u64, bool, u64)>) {
+        let mut r = StateReader::new(checked_body(delta).expect("checksum"));
+        assert_eq!(r.get_u32().expect("magic"), DELTA_MAGIC);
+        assert_eq!(r.get_u16().expect("version"), DELTA_VERSION);
+        let (shards, ..) = parse_shape(&mut r, DELTA_SHARD_SECTION_MIN).expect("shape");
+        let (mut seqs, mut records) = (Vec::new(), Vec::new());
+        for shard in 0..shards {
+            let base_seq = r.get_u64().expect("base seq");
+            let new_seq = r.get_u64().expect("new seq");
+            seqs.push((base_seq, new_seq));
+            r.get_slot().expect("watermark");
+            for _ in 0..COUNTERS {
+                r.get_u64().expect("counter");
+            }
+            for _ in 0..r.get_len(TENANT_RECORD_MIN).expect("count") {
+                let (tenant, (parked, stamp, _)) = parse_tenant(&mut r).expect("tenant");
+                records.push((shard, tenant, parked, stamp));
+            }
+            decode_buffer(&mut r).expect("buffer");
+        }
+        r.expect_end().expect("no trailing bytes");
+        (seqs, records)
+    }
+
+    #[test]
+    fn parked_tenant_rejoins_deltas_once_touched() {
+        // The dirty stamp lives in the tenant's table entry, parked or
+        // live alike.
+        let engine = Engine::spawn(EngineConfig::new(sliding_spec()).with_shards(2));
+        for t in 0..12u64 {
+            engine.observe_at(TenantId(t), Element(t), Slot(1));
+        }
+        // Window 8: by slot 20 every window has drained, so the advance
+        // parks every tenant.
+        engine.advance(Slot(20));
+        engine.flush();
+        assert_eq!(engine.metrics().total_evictions(), 12);
+        let base = engine.checkpoint();
+
+        // Untouched, the parked tenants stay out of the next delta.
+        engine.observe_at(TenantId(100), Element(1), Slot(21));
+        engine.flush();
+        let d1 = engine.checkpoint_delta(&base).expect("delta");
+        let (_, records) = delta_records(&d1);
+        let tenants: Vec<u64> = records.iter().map(|r| r.1).collect();
+        assert_eq!(tenants, [100], "an untouched parked tenant entered a delta");
+        let durable = compact(&base, std::slice::from_ref(&d1)).expect("compacts");
+
+        // Re-observed, tenant 3 rehydrates and enters the next delta
+        // live, stamped after the delta's base.
+        engine.observe_at(TenantId(3), Element(9), Slot(22));
+        engine.flush();
+        let d2 = engine.checkpoint_delta(&durable).expect("delta");
+        let (seqs, records) = delta_records(&d2);
+        let [(shard, 3, false, stamp)] = records[..] else {
+            panic!("expected only tenant 3, live: {records:?}");
+        };
+        let (base_seq, new_seq) = seqs[shard];
+        assert!(
+            base_seq < stamp && stamp <= new_seq,
+            "stamp {stamp} outside ({base_seq}, {new_seq}]"
+        );
+
+        // The chain restores to the full checkpoint byte for byte.
+        let deltas = [d1, d2];
+        let full = engine.checkpoint();
+        assert_eq!(compact(&base, &deltas).expect("folds"), full);
+        let restored = Engine::restore_with_deltas(&base, &deltas).expect("restores");
+        assert_eq!(restored.checkpoint(), full);
+        let _ = engine.shutdown();
+        let _ = restored.shutdown();
+    }
+
+    #[test]
+    fn checkpoint_restores_at_a_different_shard_count() {
+        // Restore places tenants by the engine's own `shard_of`, not by
+        // the document's grouping: a checkpoint taken at 4 shards and
+        // regrouped into 3 sections by another rule (`id % 3`) restores
+        // as a 3-shard engine that answers exactly like the original.
+        let engine = Engine::spawn(EngineConfig::new(sliding_spec()).with_shards(4));
+        for t in 0..40u64 {
+            engine.observe_at(TenantId(t), Element(t % 7), Slot(t % 5));
+        }
+        engine.advance(Slot(6));
+        engine.flush();
+        let mut doc = parse_full(&engine.checkpoint()).expect("parses");
+        let mut sections: Vec<DocShard> = (0..3)
+            .map(|_| DocShard {
+                watermark: Slot(6),
+                seq: doc.per_shard.iter().map(|s| s.seq).max().unwrap_or(0),
+                counters: [0; COUNTERS],
+                tenants: BTreeMap::new(),
+                buffer: BTreeMap::new(),
+            })
+            .collect();
+        for shard in doc.per_shard.drain(..) {
+            for (tenant, record) in shard.tenants {
+                sections[(tenant % 3) as usize]
+                    .tenants
+                    .insert(tenant, record);
+            }
+        }
+        doc.shards = 3;
+        doc.per_shard = sections;
+        let restored = Engine::restore(&encode_full(&doc)).expect("restores");
+        assert_eq!(restored.shards(), 3);
+        assert_eq!(restored.metrics().tenants(), 40);
+        for t in 0..40u64 {
+            assert_eq!(
+                restored.snapshot_view(TenantId(t), None),
+                engine.snapshot_view(TenantId(t), None),
+                "tenant {t} diverged"
+            );
+        }
+        // Later ingest lands on the restored tenants, not fresh ones.
+        for t in 0..40u64 {
+            engine.observe_at(TenantId(t), Element(100 + t), Slot(7));
+            restored.observe_at(TenantId(t), Element(100 + t), Slot(7));
+        }
+        assert_eq!(restored.snapshot_all(), engine.snapshot_all());
+        let _ = engine.shutdown();
+        let _ = restored.shutdown();
+    }
+
+    #[test]
+    fn delta_against_a_base_placed_by_another_rule_is_refused() {
+        // A base whose sections group tenants by another rule (`id % 2`,
+        // each section keeping its own seq) restores fine, but a delta
+        // against it would file moved tenants under their new section
+        // while `compact` kept the stale copy under the old one.
+        let engine = Engine::spawn(EngineConfig::new(sliding_spec()).with_shards(2));
+        for t in 0..40u64 {
+            engine.observe_at(TenantId(t), Element(t), Slot(1 + t % 3));
+        }
+        engine.flush();
+        let mut doc = parse_full(&engine.checkpoint()).expect("parses");
+        let _ = engine.shutdown();
+        let mut regrouped = [BTreeMap::new(), BTreeMap::new()];
+        for shard in &mut doc.per_shard {
+            for (tenant, record) in std::mem::take(&mut shard.tenants) {
+                regrouped[(tenant % 2) as usize].insert(tenant, record);
+            }
+        }
+        for (shard, tenants) in doc.per_shard.iter_mut().zip(regrouped) {
+            shard.tenants = tenants;
+        }
+        let old_base = encode_full(&doc);
+        let restored = Engine::restore(&old_base).expect("restores");
+        assert!(
+            (0..40u64).any(|t| restored.shard_of(TenantId(t)) != (t % 2) as usize),
+            "no tenant moved; the test proves nothing"
+        );
+        for t in 0..40u64 {
+            restored.observe_at(TenantId(t), Element(100 + t), Slot(4));
+        }
+        restored.flush();
+        assert_eq!(
+            restored.checkpoint_delta(&old_base).err(),
+            Some(CheckpointError::Corrupt(
+                "base checkpoint places tenants unlike this engine"
+            ))
+        );
+
+        // A fresh full checkpoint starts a chain that folds exactly.
+        let base = restored.checkpoint();
+        for t in 0..40u64 {
+            restored.observe_at(TenantId(t), Element(200 + t), Slot(5));
+        }
+        restored.flush();
+        let deltas = [restored.checkpoint_delta(&base).expect("delta")];
+        let full = restored.checkpoint();
+        assert_eq!(compact(&base, &deltas).expect("folds"), full);
+        let again = Engine::restore_with_deltas(&base, &deltas).expect("restores");
+        assert_eq!(again.checkpoint(), full);
+        let _ = restored.shutdown();
+        let _ = again.shutdown();
+    }
+
+    #[test]
+    fn tenant_hashing_unlike_the_spec_is_refused() {
+        // Same kind, another seed: the tenant's blob is sound on its
+        // own, but batches hashed under the document's spec would feed
+        // it the wrong hashes.
+        let other = SamplerSpec::new(SamplerKind::Sliding { window: 8 }, 1, 78);
+        let engine = Engine::spawn(EngineConfig::new(other).with_shards(2));
+        engine.observe_at(TenantId(1), Element(1), Slot(1));
+        let mut doc = parse_full(&engine.checkpoint()).expect("parses");
+        let _ = engine.shutdown();
+        doc.spec = sliding_spec();
+        assert_eq!(
+            Engine::restore(&encode_full(&doc)).err(),
+            Some(CheckpointError::Corrupt(
+                "tenant sampler hashes unlike the document's spec"
+            ))
+        );
     }
 
     #[test]

@@ -12,14 +12,19 @@
 //! * **Sharding.** `shards` worker threads each own a disjoint set of
 //!   tenants (`tenant → shard` by seeded hash), so a tenant's stream is
 //!   processed by exactly one thread and needs no locking at all — the
-//!   shard map is plain owned state, and cross-tenant isolation is
-//!   structural rather than synchronized.
+//!   shard's tenant table is plain owned state, and cross-tenant
+//!   isolation is structural rather than synchronized. The table maps a
+//!   tenant id to one entry: its dirty stamp and its live sampler or
+//!   parked blob.
 //! * **Batched ingest.** [`Engine::observe_batch`] partitions a batch by
 //!   shard and forwards one message per shard over a *bounded* crossbeam
 //!   channel. A full queue exerts backpressure: the send blocks until the
 //!   worker catches up, and the event is counted per shard
 //!   ([`ShardMetricsSnapshot::backpressure`]) so operators can see which
-//!   shards are hot.
+//!   shards are hot. The worker applies the batch in arrival order: it
+//!   hashes the whole batch once (for samplers that take a precomputed
+//!   hash), then probes the table once per run of same-tenant elements,
+//!   so per-tenant order holds without a sort.
 //! * **Consistent snapshots.** Queries travel the same FIFO queue as
 //!   ingest (the in-band analogue of `dds-runtime`'s flush-token
 //!   barrier): by the time a [`Engine::snapshot`] is answered, every
@@ -65,7 +70,9 @@ mod metrics;
 pub use error::EngineError;
 pub use metrics::{EngineMetrics, ShardMetricsSnapshot};
 
+use std::collections::hash_map::RandomState;
 use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasher, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -75,6 +82,7 @@ use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
 
 use dds_core::sampler::{DistinctSampler, SamplerSpec};
 use dds_hash::splitmix::splitmix64_keyed;
+use dds_hash::SeededHash;
 use dds_obs::{Registry, TelemetrySnapshot};
 use dds_sim::{Element, Slot};
 
@@ -170,16 +178,14 @@ pub struct TenantView {
 /// queries share one FIFO queue — that ordering *is* the
 /// snapshot-consistency mechanism.
 enum ShardCmd {
-    /// Observe a single element at the tenant's current clock (the
-    /// allocation-free fast path for unbatched ingest).
-    One(TenantId, Element),
-    /// Observe a single element at an explicit slot.
-    OneAt(TenantId, Element, Slot),
-    /// Observe a batch of (tenant, element) pairs owned by this shard.
-    Batch(Vec<(TenantId, Element)>),
-    /// Observe a batch, all elements timestamped at one slot; raises the
-    /// shard watermark to that slot.
-    BatchAt(Slot, Vec<(TenantId, Element)>),
+    /// Observe a single element (the allocation-free fast path for
+    /// unbatched ingest) at the tenant's current clock, or stamped at
+    /// the given slot.
+    One(TenantId, Element, Option<Slot>),
+    /// Observe a batch of (tenant, element) pairs owned by this shard —
+    /// all stamped at one slot if given, which raises the shard
+    /// watermark to it.
+    Batch(Option<Slot>, Vec<(TenantId, Element)>),
     /// Raise the shard watermark and advance every hosted tenant's clock
     /// to it, expiring window candidates of idle tenants.
     Advance(Slot),
@@ -212,15 +218,14 @@ enum ShardCmd {
         reply: Sender<ShardState>,
     },
     /// Install restored state (sent by [`Engine::restore`] before any
-    /// traffic reaches the shard). Tenant tuples are `(id, dirty-stamp,
-    /// payload)` so delta chains span a restore; `buffer` is the
-    /// restored reorder buffer — late elements that were checkpointed
-    /// between arrival and replay.
+    /// traffic reaches the shard). Tenant entries keep their dirty
+    /// stamps so delta chains span a restore; `buffer` is the restored
+    /// reorder buffer — late elements that were checkpointed between
+    /// arrival and replay.
     Install {
         watermark: Slot,
         seq: u64,
-        live: Vec<(u64, u64, Box<dyn DistinctSampler>)>,
-        parked: Vec<(u64, u64, Vec<u8>)>,
+        tenants: Vec<(u64, Tenant)>,
         buffer: Vec<(u64, Vec<(u64, u64)>)>,
     },
     /// Acknowledge once every previously enqueued command is processed.
@@ -460,9 +465,14 @@ impl Engine {
     }
 
     /// Which shard hosts `tenant` (stable for a fixed shard count).
+    ///
+    /// Multiply-high range reduction of the salted hash: the high word
+    /// of `hash × shards` is uniform on `0..shards`, with no 64-bit
+    /// division on the per-element routing path.
     #[must_use]
     pub fn shard_of(&self, tenant: TenantId) -> usize {
-        (splitmix64_keyed(tenant.0, SHARD_SALT) % self.shards.len() as u64) as usize
+        let h = splitmix64_keyed(tenant.0, SHARD_SALT);
+        ((u128::from(h) * self.shards.len() as u128) >> 64) as usize
     }
 
     /// The error a failed send or receive on shard `idx` means: the
@@ -520,7 +530,7 @@ impl Engine {
     /// [`EngineError::ShardDown`] if the owning worker is gone.
     pub fn try_observe(&self, tenant: TenantId, e: Element) -> Result<(), EngineError> {
         self.guard()?;
-        self.send_with_backpressure(self.shard_of(tenant), ShardCmd::One(tenant, e))
+        self.send_with_backpressure(self.shard_of(tenant), ShardCmd::One(tenant, e, None))
     }
 
     /// Ingest one observation stamped at slot `now`, raising the owning
@@ -540,7 +550,7 @@ impl Engine {
         self.guard()?;
         let idx = self.shard_of(tenant);
         self.late_gate(idx, now, 1)?;
-        self.send_with_backpressure(idx, ShardCmd::OneAt(tenant, e, now))
+        self.send_with_backpressure(idx, ShardCmd::One(tenant, e, Some(now)))
     }
 
     /// Ingest a batch of observations, preserving per-tenant order.
@@ -559,7 +569,7 @@ impl Engine {
         self.guard()?;
         for (i, part) in self.partition_pooled(batch).into_iter().enumerate() {
             if !part.is_empty() {
-                self.send_with_backpressure(i, ShardCmd::Batch(part))?;
+                self.send_with_backpressure(i, ShardCmd::Batch(None, part))?;
             }
         }
         Ok(())
@@ -628,7 +638,7 @@ impl Engine {
         }
         for (i, part) in parts.into_iter().enumerate() {
             if !part.is_empty() {
-                self.send_with_backpressure(i, ShardCmd::BatchAt(now, part))?;
+                self.send_with_backpressure(i, ShardCmd::Batch(Some(now), part))?;
             }
         }
         Ok(())
@@ -873,7 +883,7 @@ impl Engine {
                 self.pool.put(part);
                 continue;
             }
-            self.send_with_backpressure(i, ShardCmd::BatchAt(now, part))
+            self.send_with_backpressure(i, ShardCmd::Batch(Some(now), part))
                 .unwrap_or_else(|e| panic!("engine accepts ingest: {e}"));
         }
     }
@@ -1017,28 +1027,80 @@ fn rehydrate(blob: &[u8], target: Slot) -> Box<dyn DistinctSampler> {
     sampler
 }
 
-/// Look up (or create) a tenant's live sampler, rehydrating a parked
-/// one to `target` first — the single entry point every ingest and
-/// query path goes through. Ingest passes the *event's* slot as the
-/// target (so a resurrected tenant's clock never jumps past data it is
-/// about to receive); queries pass the shard watermark.
-fn live<'a>(
-    tenants: &'a mut HashMap<u64, Box<dyn DistinctSampler>>,
-    parked: &mut HashMap<u64, Vec<u8>>,
-    spec: SamplerSpec,
-    target: Slot,
-    tenant: TenantId,
-) -> &'a mut Box<dyn DistinctSampler> {
-    tenants.entry(tenant.0).or_insert_with(|| {
-        parked
-            .remove(&tenant.0)
-            .map_or_else(|| spec.build(), |blob| rehydrate(&blob, target))
-    })
+/// One hosted tenant: its sampler (live or parked) and the shard
+/// sequence number of its last mutation — the dirty stamp a delta
+/// checkpoint filters on.
+struct Tenant {
+    stamp: u64,
+    state: TenantState,
+}
+
+enum TenantState {
+    Live(Box<dyn DistinctSampler>),
+    /// Evicted once its window drained: the final-state checkpoint
+    /// blob. A later observe or query rehydrates from it, so eviction
+    /// frees memory without forgetting the tenant's clock or message
+    /// counter.
+    Parked(Vec<u8>),
+}
+
+impl Tenant {
+    /// The live sampler, rehydrating a parked one to `target` first.
+    /// Ingest passes the *event's* slot as the target (so a resurrected
+    /// tenant's clock never jumps past data it is about to receive);
+    /// queries pass the shard watermark.
+    fn live(&mut self, target: Slot) -> &mut dyn DistinctSampler {
+        if let TenantState::Parked(blob) = &self.state {
+            self.state = TenantState::Live(rehydrate(blob, target));
+        }
+        match &mut self.state {
+            TenantState::Live(sampler) => sampler.as_mut(),
+            TenantState::Parked(_) => unreachable!("rehydrated above"),
+        }
+    }
+}
+
+/// The shard's tenant table hasher: one folded 64×64→128-bit multiply
+/// of the `u64` key. SipHash, the std default, costs more than the
+/// sampler's own step for an element that does not beat the threshold.
+/// The key is xored with a per-table random seed first, so tenant ids
+/// chosen by a remote client cannot be aimed at one bucket.
+#[derive(Clone, Copy)]
+struct TenantHash(u64);
+
+impl TenantHash {
+    fn new() -> Self {
+        Self(RandomState::new().build_hasher().finish())
+    }
+}
+
+impl BuildHasher for TenantHash {
+    type Hasher = TenantHash;
+
+    fn build_hasher(&self) -> TenantHash {
+        *self
+    }
+}
+
+impl Hasher for TenantHash {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the tenant table's keys are u64s, which hash via write_u64");
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        let m = u128::from(key ^ self.0) * 0x9e37_79b9_7f4a_7c15;
+        self.0 = (m as u64) ^ ((m >> 64) as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// One shard worker's owned state plus the handles it records into —
-/// factored into a struct because the reorder-buffer drain and the
-/// self-driven expiry sweep are shared by several command handlers.
+/// factored into a struct because the apply loop, the reorder-buffer
+/// drain and the self-driven expiry sweep are shared by several command
+/// handlers.
 struct ShardWorker<'a> {
     spec: SamplerSpec,
     /// `None`: legacy immediate-apply; `Some(L)`: horizon mode with a
@@ -1046,12 +1108,9 @@ struct ShardWorker<'a> {
     lateness: Option<u64>,
     metrics: &'a ShardMetrics,
     watermark_pub: &'a AtomicU64,
-    tenants: HashMap<u64, Box<dyn DistinctSampler>>,
-    /// Tenants evicted once their window drained: tenant id → final-
-    /// state checkpoint blob. A later observe or query rehydrates from
-    /// the blob, so eviction frees memory without forgetting the
-    /// tenant's clock or message counter.
-    parked: HashMap<u64, Vec<u8>>,
+    /// Every tenant the shard hosts, live or parked, with its dirty
+    /// stamp: one probe answers all three.
+    tenants: HashMap<u64, Tenant, TenantHash>,
     /// Highest slot this shard has seen (timestamped ingest, Advance,
     /// or snapshot_at). Monotonic; queries answer as of this watermark.
     watermark: Slot,
@@ -1060,8 +1119,13 @@ struct ShardWorker<'a> {
     /// checkpoint can emit exactly the tenants mutated since a base
     /// document's `seq`.
     seq: u64,
-    stamps: HashMap<u64, u64>,
-    /// Persistent per-run element scratch for the fused batch path.
+    /// The hash every tenant's sampler takes precomputed
+    /// ([`DistinctSampler::hasher`]); `None` for kinds that hash each
+    /// element themselves, whose batches `apply` does not hash.
+    batch_hash: Option<SeededHash>,
+    /// Persistent scratch for `apply`: the batch's hashes, and one
+    /// run's elements for the fused batch path.
+    hash_scratch: Vec<u64>,
     elem_scratch: Vec<Element>,
     /// The reorder buffer (horizon mode): slot → elements stamped at
     /// that slot, awaiting replay. Ordered so the drain replays in slot
@@ -1092,9 +1156,7 @@ impl ShardWorker<'_> {
     }
 
     fn set_tenant_gauge(&self) {
-        self.metrics
-            .tenants
-            .set((self.tenants.len() + self.parked.len()) as u64);
+        self.metrics.tenants.set(self.tenants.len() as u64);
     }
 
     /// One event-ring note per command that dropped late data — the
@@ -1112,61 +1174,71 @@ impl ShardWorker<'_> {
         }
     }
 
-    /// Apply one timestamped element at its own slot. An element whose
-    /// tenant clock has already passed the slot is counted and dropped
-    /// — never silently re-stamped. Returns the number dropped (0 | 1).
-    fn apply_one(&mut self, tenant: TenantId, e: Element, now: Slot) -> u64 {
-        let s = live(&mut self.tenants, &mut self.parked, self.spec, now, tenant);
-        let dropped = if now < s.clock() {
-            self.metrics.late_dropped.inc();
-            1
-        } else {
-            s.observe_at(e, now);
-            0
-        };
-        self.stamps.insert(tenant.0, self.seq);
-        dropped
+    /// The tenant's live sampler — built on first sight, rehydrated to
+    /// `target` if parked — stamped dirty at the current seq.
+    fn touch(&mut self, tenant: TenantId, target: Slot) -> &mut dyn DistinctSampler {
+        let spec = self.spec;
+        let entry = self.tenants.entry(tenant.0).or_insert_with(|| Tenant {
+            stamp: 0,
+            state: TenantState::Live(spec.build()),
+        });
+        entry.stamp = self.seq;
+        entry.live(target)
     }
 
-    /// Apply the contiguous same-tenant run `src[from..to]`, all
-    /// stamped at `now`, via the fused batch path. Returns drops.
-    fn apply_run(&mut self, now: Slot, src: &[(TenantId, Element)], from: usize, to: usize) -> u64 {
-        let tenant = src[from].0;
-        let s = live(&mut self.tenants, &mut self.parked, self.spec, now, tenant);
-        let dropped = if now < s.clock() {
-            let n = (to - from) as u64;
-            self.metrics.late_dropped.add(n);
-            n
-        } else {
-            self.elem_scratch.clear();
-            self.elem_scratch
-                .extend(src[from..to].iter().map(|&(_, e)| e));
-            s.observe_batch_at(now, &self.elem_scratch);
-            0
-        };
-        self.stamps.insert(tenant.0, self.seq);
-        dropped
-    }
-
-    /// Apply every element of `batch` at slot `now`. Stable by tenant:
-    /// per-tenant order (the correctness contract) is preserved while
-    /// elements group into contiguous runs — one map lookup and one
-    /// fused, batch-hashed observe call per run instead of per element.
-    /// Cross-tenant reordering is unobservable: tenants are independent
-    /// samplers.
-    fn apply_batch(&mut self, now: Slot, batch: &mut [(TenantId, Element)]) -> u64 {
-        batch.sort_by_key(|&(t, _)| t);
-        let mut dropped = 0;
-        let mut from = 0;
-        while from < batch.len() {
-            let tenant = batch[from].0;
-            let mut to = from + 1;
-            while to < batch.len() && batch[to].0 == tenant {
-                to += 1;
-            }
-            dropped += self.apply_run(now, batch, from, to);
-            from = to;
+    /// Apply `batch` in arrival order: at slot `now` if given, else at
+    /// each tenant's own clock. Where the samplers take a precomputed
+    /// hash, the whole batch is hashed in one pass (every tenant of one
+    /// spec shares its hash). Then each run of consecutive same-tenant
+    /// elements costs one table probe, a run of one goes to `observe`
+    /// (`observe_hashed`) and a longer run to the fused batch path.
+    /// Per-tenant order (the correctness contract) holds without
+    /// sorting, and cross-tenant order is unobservable: tenants are
+    /// independent samplers. A timestamped run whose tenant clock has
+    /// already passed `now` is counted and dropped, never silently
+    /// re-stamped. Returns drops.
+    fn apply(&mut self, now: Option<Slot>, batch: &[(TenantId, Element)]) -> u64 {
+        let metrics = self.metrics;
+        let target = now.unwrap_or(self.watermark);
+        let mut hashes = std::mem::take(&mut self.hash_scratch);
+        let mut elems = std::mem::take(&mut self.elem_scratch);
+        if let Some(hash) = self.batch_hash {
+            hash.hash_u64_batch_into(batch.iter().map(|&(_, e)| e.0), &mut hashes);
         }
+        let mut dropped = 0;
+        let mut at = 0;
+        while let Some(&(tenant, e)) = batch.get(at) {
+            let len = 1 + batch[at + 1..]
+                .iter()
+                .take_while(|&&(t, _)| t == tenant)
+                .count();
+            let run = at..at + len;
+            at += len;
+            let s = self.touch(tenant, target);
+            if let Some(now) = now {
+                if now < s.clock() {
+                    metrics.late_dropped.add(len as u64);
+                    dropped += len as u64;
+                    continue;
+                }
+                s.advance(now);
+            }
+            if len == 1 {
+                match hashes.get(run.start) {
+                    Some(&h) => s.observe_hashed(e, h),
+                    None => s.observe(e),
+                }
+            } else {
+                elems.clear();
+                elems.extend(batch[run.clone()].iter().map(|&(_, e)| e));
+                match hashes.get(run) {
+                    Some(h) => s.observe_batch_hashed(&elems, h),
+                    None => s.observe_batch(&elems),
+                }
+            }
+        }
+        self.hash_scratch = hashes;
+        self.elem_scratch = elems;
         dropped
     }
 
@@ -1194,12 +1266,25 @@ impl ShardWorker<'_> {
             if slot > through.0 {
                 break;
             }
-            let mut entries = self.buffer.remove(&slot).expect("first key exists");
+            let entries = self.buffer.remove(&slot).expect("first key exists");
             self.buffered -= entries.len();
-            dropped += self.apply_batch(Slot(slot), &mut entries);
+            dropped += self.apply(Some(Slot(slot)), &entries);
         }
         self.metrics.reorder_buffered.set(self.buffered as u64);
         dropped
+    }
+
+    /// Advance every live tenant's clock to `to` under a fresh seq.
+    /// Each one is (conservatively) stamped dirty: an advance can move
+    /// any lagging tenant clock even when the watermark did not change.
+    fn advance_live(&mut self, to: Slot) {
+        self.seq += 1;
+        for t in self.tenants.values_mut() {
+            if let TenantState::Live(s) = &mut t.state {
+                s.advance(to);
+                t.stamp = self.seq;
+            }
+        }
     }
 
     /// Self-driven expiry (horizon mode, windowed specs): when the cut
@@ -1219,11 +1304,7 @@ impl ShardWorker<'_> {
             return;
         }
         self.sweep_stride = stride;
-        self.seq += 1;
-        for (&t, s) in &mut self.tenants {
-            s.advance(cut);
-            self.stamps.insert(t, self.seq);
-        }
+        self.advance_live(cut);
         self.park_drained();
         self.metrics.sweeps.inc();
         self.set_tenant_gauge();
@@ -1231,62 +1312,33 @@ impl ShardWorker<'_> {
 
     /// Park window-bounded tenants whose state has fully drained: the
     /// instance (treap arenas, buffers) is freed, but its final state —
-    /// clock, message counter — is recorded so a later observe
+    /// clock, message counter — is kept as a blob so a later observe
     /// *resumes* the tenant instead of resetting it.
     fn park_drained(&mut self) {
-        let drained: Vec<u64> = self
-            .tenants
-            .iter()
-            .filter(|(_, s)| s.memory_tuples() == 0 && s.sample().is_empty())
-            .map(|(&t, _)| t)
-            .collect();
-        for t in drained {
-            let sampler = self.tenants.remove(&t).expect("listed above");
-            let mut blob = Vec::new();
-            sampler.checkpoint(&mut blob);
-            self.parked.insert(t, blob);
-            self.metrics.evictions.inc();
+        for t in self.tenants.values_mut() {
+            let TenantState::Live(s) = &t.state else {
+                continue;
+            };
+            if s.memory_tuples() == 0 && s.sample().is_empty() {
+                let mut blob = Vec::new();
+                s.checkpoint(&mut blob);
+                t.state = TenantState::Parked(blob);
+                self.metrics.evictions.inc();
+            }
         }
     }
 
-    /// The OneAt ingest body. Returns drops.
-    fn ingest_one_at(&mut self, tenant: TenantId, e: Element, now: Slot) -> u64 {
-        let Some(lateness) = self.lateness else {
-            // Legacy: apply immediately at the event's own slot; the
-            // per-tenant clock check in `apply_one` is the bugfix for
-            // the silent re-stamp.
-            self.raise_watermark(now);
-            return self.apply_one(tenant, e, now);
-        };
-        self.metrics
-            .lateness_slots
-            .observe(self.watermark.0.saturating_sub(now.0));
-        if now < self.cut() {
-            self.metrics.late_dropped.inc();
-            return 1;
-        }
-        if lateness == 0 {
-            // In-order fast path: `now ≥ cut = watermark`, so the
-            // buffer is provably empty and the event applies directly.
-            self.raise_watermark(now);
-            let dropped = self.apply_one(tenant, e, now);
-            self.maybe_sweep();
-            return dropped;
-        }
-        self.buffer.entry(now.0).or_default().push((tenant, e));
-        self.buffered += 1;
-        self.raise_watermark(now);
-        let dropped = self.drain_through(self.cut());
-        self.maybe_sweep();
-        dropped
-    }
-
-    /// The BatchAt ingest body (all elements stamped `now`). Returns
-    /// drops.
-    fn ingest_batch_at(&mut self, now: Slot, batch: &mut Vec<(TenantId, Element)>) -> u64 {
-        let Some(lateness) = self.lateness else {
-            self.raise_watermark(now);
-            return self.apply_batch(now, batch);
+    /// Ingest `batch`, every element stamped `at` if given, else at its
+    /// tenant's own clock. Returns drops.
+    fn ingest(&mut self, at: Option<Slot>, batch: &[(TenantId, Element)]) -> u64 {
+        let (Some(now), Some(lateness)) = (at, self.lateness) else {
+            // Untimed, or legacy: apply immediately at the event's own
+            // slot; the per-tenant clock check in `apply` is the bugfix
+            // for the silent re-stamp.
+            if let Some(now) = at {
+                self.raise_watermark(now);
+            }
+            return self.apply(at, batch);
         };
         self.metrics
             .lateness_slots
@@ -1297,8 +1349,10 @@ impl ShardWorker<'_> {
             return n;
         }
         if lateness == 0 {
+            // In-order fast path: `now ≥ cut = watermark`, so the
+            // buffer is provably empty and the batch applies directly.
             self.raise_watermark(now);
-            let dropped = self.apply_batch(now, batch);
+            let dropped = self.apply(at, batch);
             self.maybe_sweep();
             return dropped;
         }
@@ -1306,26 +1360,49 @@ impl ShardWorker<'_> {
         self.buffer
             .entry(now.0)
             .or_default()
-            .extend(batch.iter().copied());
+            .extend_from_slice(batch);
         self.raise_watermark(now);
         let dropped = self.drain_through(self.cut());
         self.maybe_sweep();
         dropped
     }
 
-    /// The serialized reorder buffer, ascending by slot, for
-    /// checkpoints — buffered-but-unapplied data survives a crash.
-    fn buffer_state(&self) -> Vec<(u64, Vec<(u64, u64)>)> {
-        self.buffer
+    /// The shard's serialized population — every tenant, or with
+    /// `since` only those stamped after it (a delta) — sorted by tenant
+    /// id so shard snapshots are byte-deterministic, plus the reorder
+    /// buffer ascending by slot, so buffered-but-unapplied data
+    /// survives a crash.
+    fn shard_state(&self, since: Option<u64>) -> ShardState {
+        let mut tenants: Vec<(u64, bool, u64, Vec<u8>)> = self
+            .tenants
             .iter()
-            .map(|(&slot, entries)| (slot, entries.iter().map(|&(t, e)| (t.0, e.0)).collect()))
-            .collect()
+            .filter(|(_, t)| since.map_or(true, |since| t.stamp > since))
+            .map(|(&id, t)| match &t.state {
+                TenantState::Live(s) => {
+                    let mut blob = Vec::new();
+                    s.checkpoint(&mut blob);
+                    (id, false, t.stamp, blob)
+                }
+                TenantState::Parked(blob) => (id, true, t.stamp, blob.clone()),
+            })
+            .collect();
+        tenants.sort_unstable_by_key(|&(id, ..)| id);
+        ShardState {
+            watermark: self.watermark,
+            seq: self.seq,
+            tenants,
+            buffer: self
+                .buffer
+                .iter()
+                .map(|(&slot, entries)| (slot, entries.iter().map(|&(t, e)| (t.0, e.0)).collect()))
+                .collect(),
+        }
     }
 }
 
-/// The shard worker: owns its tenants' samplers, its parked-tenant
-/// blobs, its reorder buffer, and the shard watermark outright; returns
-/// the final tenant count (live + parked) on shutdown.
+/// The shard worker: owns its tenant table (live samplers and parked
+/// blobs), its reorder buffer, and the shard watermark outright;
+/// returns the final tenant count on shutdown.
 fn shard_loop(
     rx: &Receiver<ShardCmd>,
     spec: SamplerSpec,
@@ -1339,11 +1416,11 @@ fn shard_loop(
         lateness,
         metrics,
         watermark_pub,
-        tenants: HashMap::new(),
-        parked: HashMap::new(),
+        tenants: HashMap::with_hasher(TenantHash::new()),
         watermark: Slot(0),
         seq: 0,
-        stamps: HashMap::new(),
+        batch_hash: spec.build().hasher(),
+        hash_scratch: Vec::new(),
         elem_scratch: Vec::new(),
         buffer: BTreeMap::new(),
         buffered: 0,
@@ -1352,70 +1429,30 @@ fn shard_loop(
 
     while let Ok(cmd) = rx.recv() {
         match cmd {
-            ShardCmd::One(tenant, e) => {
+            ShardCmd::One(tenant, e, at) => {
                 // The allocation-free fast path stays clock-free: two
                 // counter bumps, no histogram, no Instant reads.
                 metrics.batches.inc();
                 metrics.elements.inc();
                 w.seq += 1;
-                let target = w.watermark;
-                live(&mut w.tenants, &mut w.parked, spec, target, tenant).observe(e);
-                w.stamps.insert(tenant.0, w.seq);
-                w.set_tenant_gauge();
-            }
-            ShardCmd::OneAt(tenant, e, now) => {
-                metrics.batches.inc();
-                metrics.elements.inc();
-                w.seq += 1;
-                let dropped = w.ingest_one_at(tenant, e, now);
+                let dropped = w.ingest(at, &[(tenant, e)]);
                 w.note_dropped(dropped);
                 w.set_tenant_gauge();
             }
-            ShardCmd::Batch(mut batch) => {
+            ShardCmd::Batch(at, batch) => {
                 let start = dds_obs::maybe_now();
                 metrics.batches.inc();
                 metrics.elements.add(batch.len() as u64);
                 metrics.batch_elements.observe(batch.len() as u64);
                 w.seq += 1;
-                batch.sort_by_key(|&(t, _)| t);
-                let mut from = 0;
-                while from < batch.len() {
-                    let tenant = batch[from].0;
-                    let mut to = from + 1;
-                    while to < batch.len() && batch[to].0 == tenant {
-                        to += 1;
-                    }
-                    w.elem_scratch.clear();
-                    w.elem_scratch
-                        .extend(batch[from..to].iter().map(|&(_, e)| e));
-                    let target = w.watermark;
-                    live(&mut w.tenants, &mut w.parked, spec, target, tenant)
-                        .observe_batch(&w.elem_scratch);
-                    w.stamps.insert(tenant.0, w.seq);
-                    from = to;
-                }
+                let dropped = w.ingest(at, &batch);
+                w.note_dropped(dropped);
                 pool.put(batch);
                 w.set_tenant_gauge();
                 let nanos = dds_obs::nanos_since(start);
                 metrics.batch_nanos.observe(nanos);
                 metrics.events.record_slow("slow_batch", nanos, || {
                     format!("ingest batch took {nanos} ns")
-                });
-            }
-            ShardCmd::BatchAt(now, mut batch) => {
-                let start = dds_obs::maybe_now();
-                metrics.batches.inc();
-                metrics.elements.add(batch.len() as u64);
-                metrics.batch_elements.observe(batch.len() as u64);
-                w.seq += 1;
-                let dropped = w.ingest_batch_at(now, &mut batch);
-                w.note_dropped(dropped);
-                pool.put(batch);
-                w.set_tenant_gauge();
-                let nanos = dds_obs::nanos_since(start);
-                metrics.batch_nanos.observe(nanos);
-                metrics.events.record_slow("slow_batch", nanos, || {
-                    format!("timestamped ingest batch took {nanos} ns")
                 });
             }
             ShardCmd::Advance(now) => {
@@ -1439,18 +1476,10 @@ fn shard_loop(
                     let dropped = w.drain_through(w.watermark);
                     w.note_dropped(dropped);
                     w.raise_watermark(now);
-                    w.seq += 1;
                     // Eager: idle tenants expire their candidates *now*,
                     // not at their next query — this is the memory-
-                    // reclaim path. Every live tenant is (conservatively)
-                    // stamped dirty: an advance can move any lagging
-                    // tenant clock even when the shard watermark itself
-                    // did not change.
-                    let stamp = w.seq;
-                    for (&t, sampler) in &mut w.tenants {
-                        sampler.advance(w.watermark);
-                        w.stamps.insert(t, stamp);
-                    }
+                    // reclaim path.
+                    w.advance_live(w.watermark);
                     if spec.window().is_some() {
                         w.park_drained();
                     }
@@ -1484,16 +1513,13 @@ fn shard_loop(
                     w.note_dropped(dropped);
                     w.maybe_sweep();
                 }
-                let known = w.tenants.contains_key(&tenant.0) || w.parked.contains_key(&tenant.0);
-                if known {
+                let target = w.watermark;
+                let view = w.tenants.get_mut(&tenant.0).map(|t| {
                     // Answering mutates: a parked tenant rehydrates, and
                     // the advance-to-watermark can move the clock.
                     w.seq += 1;
-                    w.stamps.insert(tenant.0, w.seq);
-                }
-                let view = known.then(|| {
-                    let target = w.watermark;
-                    let s = live(&mut w.tenants, &mut w.parked, spec, target, tenant);
+                    t.stamp = w.seq;
+                    let s = t.live(target);
                     s.advance(target);
                     TenantView {
                         sample: s.sample(),
@@ -1518,49 +1544,30 @@ fn shard_loop(
                     w.maybe_sweep();
                 }
                 w.seq += 1;
-                let stamp = w.seq;
+                let (watermark, stamp) = (w.watermark, w.seq);
                 // Unordered: the engine sorts the merged result once.
                 // Parked tenants answer without rehydrating — a drained
                 // window's sample is empty by construction.
-                let watermark = w.watermark;
-                let mut all: Vec<(TenantId, Vec<Element>)> = w
+                let all: Vec<(TenantId, Vec<Element>)> = w
                     .tenants
                     .iter_mut()
-                    .map(|(&t, s)| {
-                        s.advance(watermark);
-                        w.stamps.insert(t, stamp);
-                        (TenantId(t), s.sample())
+                    .map(|(&id, t)| {
+                        let sample = match &mut t.state {
+                            TenantState::Live(s) => {
+                                s.advance(watermark);
+                                t.stamp = stamp;
+                                s.sample()
+                            }
+                            TenantState::Parked(_) => Vec::new(),
+                        };
+                        (TenantId(id), sample)
                     })
                     .collect();
-                all.extend(w.parked.keys().map(|&t| (TenantId(t), Vec::new())));
                 let _ = reply.send(all);
                 record_snapshot_latency(metrics, enqueued);
             }
             ShardCmd::Checkpoint { reply } => {
-                let mut all: Vec<(u64, bool, u64, Vec<u8>)> = w
-                    .tenants
-                    .iter()
-                    .map(|(&t, s)| {
-                        let mut blob = Vec::new();
-                        s.checkpoint(&mut blob);
-                        (t, false, w.stamps.get(&t).copied().unwrap_or(0), blob)
-                    })
-                    .collect();
-                all.extend(w.parked.iter().map(|(&t, blob)| {
-                    (
-                        t,
-                        true,
-                        w.stamps.get(&t).copied().unwrap_or(0),
-                        blob.clone(),
-                    )
-                }));
-                all.sort_unstable_by_key(|&(t, _, _, _)| t);
-                let _ = reply.send(ShardState {
-                    watermark: w.watermark,
-                    seq: w.seq,
-                    tenants: all,
-                    buffer: w.buffer_state(),
-                });
+                let _ = reply.send(w.shard_state(None));
             }
             ShardCmd::CheckpointDelta { since, reply } => {
                 // Only the tenants stamped after the base document's
@@ -1569,47 +1576,17 @@ fn shard_loop(
                 // checkpoint's bytes. The reorder buffer is tiny (≤ one
                 // horizon's worth of late data), so the delta carries it
                 // whole and `apply_delta` replaces the base's copy.
-                let mut changed: Vec<(u64, bool, u64, Vec<u8>)> = w
-                    .tenants
-                    .iter()
-                    .filter(|(t, _)| w.stamps.get(t).copied().unwrap_or(0) > since)
-                    .map(|(&t, s)| {
-                        let mut blob = Vec::new();
-                        s.checkpoint(&mut blob);
-                        (t, false, w.stamps[&t], blob)
-                    })
-                    .collect();
-                changed.extend(
-                    w.parked
-                        .iter()
-                        .filter(|(t, _)| w.stamps.get(t).copied().unwrap_or(0) > since)
-                        .map(|(&t, blob)| (t, true, w.stamps[&t], blob.clone())),
-                );
-                changed.sort_unstable_by_key(|&(t, _, _, _)| t);
-                let _ = reply.send(ShardState {
-                    watermark: w.watermark,
-                    seq: w.seq,
-                    tenants: changed,
-                    buffer: w.buffer_state(),
-                });
+                let _ = reply.send(w.shard_state(Some(since)));
             }
             ShardCmd::Install {
                 watermark: restored_watermark,
                 seq: restored_seq,
-                live: restored_live,
-                parked: restored_parked,
+                tenants: restored_tenants,
                 buffer: restored_buffer,
             } => {
                 w.raise_watermark(restored_watermark);
                 w.seq = w.seq.max(restored_seq);
-                for (t, stamp, sampler) in restored_live {
-                    w.stamps.insert(t, stamp);
-                    w.tenants.insert(t, sampler);
-                }
-                for (t, stamp, blob) in restored_parked {
-                    w.stamps.insert(t, stamp);
-                    w.parked.insert(t, blob);
-                }
+                w.tenants.extend(restored_tenants);
                 for (slot, entries) in restored_buffer {
                     w.buffered += entries.len();
                     w.buffer
@@ -1641,7 +1618,7 @@ fn shard_loop(
             ShardCmd::Shutdown => break,
         }
     }
-    w.tenants.len() + w.parked.len()
+    w.tenants.len()
 }
 
 #[cfg(test)]
