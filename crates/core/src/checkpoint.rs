@@ -133,6 +133,17 @@ impl StateWriter {
         Self::default()
     }
 
+    /// A writer that appends to `buf`, reusing its allocation.
+    #[must_use]
+    pub fn from_vec(buf: Vec<u8>) -> Self {
+        Self { buf }
+    }
+
+    /// Make room for at least `additional` more bytes.
+    pub fn reserve(&mut self, additional: usize) {
+        self.buf.reserve(additional);
+    }
+
     /// The encoded bytes.
     #[must_use]
     pub fn into_bytes(self) -> Vec<u8> {

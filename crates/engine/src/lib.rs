@@ -582,13 +582,26 @@ impl Engine {
         &self,
         batch: impl IntoIterator<Item = (TenantId, Element)>,
     ) -> Vec<Vec<(TenantId, Element)>> {
+        let shards = self.shards.len();
         let mut per_shard: Vec<Vec<(TenantId, Element)>> = Vec::new();
-        per_shard.resize_with(self.shards.len(), Vec::new);
+        per_shard.resize_with(shards, Vec::new);
+        let batch = batch.into_iter();
+        // A part's expected share of the batch, plus an eighth for the
+        // spread across shards. Grown by push-doubling instead, about
+        // half of all queued parts would hold twice the memory they use.
+        let n = batch.size_hint().0;
+        let share = if shards == 1 {
+            n
+        } else {
+            n / shards + n / shards / 8
+        };
         for (tenant, e) in batch {
             let part = &mut per_shard[self.shard_of(tenant)];
             if part.capacity() == 0 {
-                // First element for this shard: swap in a pooled buffer.
+                // First element for this shard: swap in a pooled buffer,
+                // sized for its share.
                 *part = self.pool.get();
+                part.reserve(share);
             }
             part.push((tenant, e));
         }
@@ -1739,6 +1752,30 @@ mod tests {
         );
         assert!(stats.hits >= (rounds - 1) * 2, "pool not reused: {stats:?}");
         let _ = engine.shutdown();
+    }
+
+    #[test]
+    fn batch_parts_are_sized_for_their_share() {
+        let engine = Engine::spawn(EngineConfig::new(spec()).with_shards(2));
+        let batch: Vec<(TenantId, Element)> = (0..1024)
+            .map(|i| (TenantId(i * 0x9E37_79B9), Element(i)))
+            .collect();
+        let parts = engine.partition_pooled(batch.iter().copied());
+        assert_eq!(parts.iter().map(Vec::len).sum::<usize>(), 1024);
+        for part in &parts {
+            assert!(part.len() > 448, "uneven split: {}", part.len());
+            // 512 + 64, not the 1024 push-doubling reaches past 512.
+            assert!(part.capacity() <= 576, "capacity {}", part.capacity());
+        }
+        let one = Engine::spawn(EngineConfig::new(spec()).with_shards(1));
+        let parts = one.partition_pooled(batch.iter().copied());
+        assert_eq!(
+            parts[0].capacity(),
+            1024,
+            "one shard takes the batch exactly"
+        );
+        let _ = engine.shutdown();
+        let _ = one.shutdown();
     }
 
     #[test]

@@ -8,26 +8,42 @@
 //!
 //! ```text
 //! magic    u32   0x5053_4444  ("DDSP")
-//! version  u16   2
+//! version  u16   3
 //! opcode   u8    request/response discriminator (see `crate::opcode`)
 //! len      u32   payload byte length (≤ MAX_PAYLOAD)
 //! payload  [u8]  opcode-specific body (StateWriter layout)
-//! check    u64   FNV-1a 64 over [opcode ‖ payload]
+//! check    u64   4-lane word checksum over [opcode ‖ payload]
 //! ```
 //!
-//! The checksum covers the opcode and the payload, so any single-bit
-//! corruption of a message or its dispatch byte is detected;
-//! `magic`/`version`/`len` corruption is caught by their own validation,
-//! and `len` is bounded *before* any allocation, so a hostile peer
-//! cannot request a huge buffer with a 4-byte header. This mirrors the
-//! checkpoint envelope of `dds_core::checkpoint` — same primitives, same
-//! failure taxonomy ([`CheckpointError`]) — one binary dialect across
-//! durability and transport.
+//! The checksum reads the payload as little-endian 8-byte words dealt
+//! round-robin to 4 independent lanes, each step xxHash64's round
+//! `lane = rotl(lane + word · P2, 31) · P1`; then the opcode and
+//! length, the zero-padded tail of ≤ 7 bytes and the 4 lanes are folded
+//! in as `h = (h ^ x) · P1`, and one murmur3 `fmix64` finishes. Any
+//! single-bit corruption of the opcode or payload is detected: the flip
+//! changes exactly one step's input, and every step is a bijection of
+//! that input and of the state it updates, so the change survives to
+//! the trailer. The rotate turns a top-bit flip into a carry-spreading
+//! change, so two top-bit flips in one lane do not cancel the way they
+//! would under a bare odd multiply. The check costs one
+//! multiply-rotate-multiply per 8 bytes with 4 in flight, instead of
+//! one serial multiply per byte. It is an accident check, not an
+//! authenticator: multi-bit errors are caught with high probability,
+//! not with certainty.
+//!
+//! `magic`/`version`/`len` corruption is caught by their own
+//! validation, and `len` is bounded *before* any allocation, so a
+//! hostile peer cannot request a huge buffer with a 4-byte header. The
+//! rest mirrors the checkpoint envelope of `dds_core::checkpoint` —
+//! same primitives, same failure taxonomy ([`CheckpointError`]) — one
+//! binary dialect across durability and transport. Checkpoint envelopes
+//! keep their FNV-1a 64 trailer: their documents are durable, and a
+//! new checksum there would need a document-version bump.
 
 use std::io::{self, Read, Write};
 
-use dds_core::checkpoint::{CheckpointError, StateReader, StateWriter};
-use dds_hash::fnv::{fnv1a_64_update, FNV1A_64_OFFSET};
+use dds_core::checkpoint::{CheckpointError, StateReader};
+use dds_hash::murmur3::fmix64;
 
 /// Frame magic: `b"DDSP"` read as a little-endian `u32`.
 pub const MAGIC: u32 = u32::from_le_bytes(*b"DDSP");
@@ -40,12 +56,16 @@ pub const MAGIC: u32 = u32::from_le_bytes(*b"DDSP");
 /// 15 words (late drops, stale advances, sweeps, reorder-buffer depth)
 /// and added the `LateData` engine-error tag — a v1 peer would misread
 /// both, so mixed versions are rejected at the frame layer instead.
-pub const VERSION: u16 = 2;
+/// v2 → v3 changed only the trailer: the per-byte FNV-1a 64 became the
+/// 4-lane word checksum. Layout, sizes and payloads are unchanged, but
+/// a v2 trailer fails the v3 check, so a v2 peer is refused at the
+/// header rather than on its first checksum.
+pub const VERSION: u16 = 3;
 
 /// Fixed bytes before the payload: magic + version + opcode + len.
 pub const HEADER_BYTES: usize = 4 + 2 + 1 + 4;
 
-/// Fixed bytes after the payload: the FNV-1a 64 checksum.
+/// Fixed bytes after the payload: the 64-bit checksum.
 pub const TRAILER_BYTES: usize = 8;
 
 /// Per-frame overhead: `wire_bytes = OVERHEAD_BYTES + payload len`.
@@ -98,10 +118,100 @@ impl From<FrameError> for dds_engine::EngineError {
     }
 }
 
-/// FNV-1a 64 over the opcode byte followed by the payload (incremental,
-/// allocation-free — this runs on every message both ways).
+/// xxHash64's primes: odd, so multiplying by either is invertible mod
+/// 2^64.
+const P1: u64 = 0x9E37_79B1_85EB_CA87;
+const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+
+/// Distinct lane seeds (digits of π), so equal words in different
+/// lanes do not leave equal lane states.
+const LANE_SEED: [u64; 4] = [
+    0x243F_6A88_85A3_08D3,
+    0x1319_8A2E_0370_7344,
+    0xA409_3822_299F_31D0,
+    0x082E_FA98_EC4E_6C89,
+];
+
+/// One lane step, xxHash64's round: a bijection of `lane` for a fixed
+/// word and of the word for a fixed `lane`.
+fn round(lane: u64, word: u64) -> u64 {
+    lane.wrapping_add(word.wrapping_mul(P2))
+        .rotate_left(31)
+        .wrapping_mul(P1)
+}
+
+/// One fold into the running state: a bijection of `h` and of `x`.
+/// The folded state is finished with murmur3's `fmix64`, itself a
+/// bijection (xor-shifts and odd multiplies).
+fn fold(h: u64, x: u64) -> u64 {
+    (h ^ x).wrapping_mul(P1)
+}
+
+fn word(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes[..8].try_into().expect("8-byte word"))
+}
+
+/// The trailer over the opcode byte and the payload (see the module
+/// docs). Allocation-free; this runs on every message both ways.
 fn checksum(opcode: u8, payload: &[u8]) -> u64 {
-    fnv1a_64_update(fnv1a_64_update(FNV1A_64_OFFSET, &[opcode]), payload)
+    let mut lanes = LANE_SEED;
+    let mut stripes = payload.chunks_exact(32);
+    for stripe in &mut stripes {
+        for (i, lane) in lanes.iter_mut().enumerate() {
+            *lane = round(*lane, word(&stripe[8 * i..]));
+        }
+    }
+    let mut words = stripes.remainder().chunks_exact(8);
+    for (i, w) in (&mut words).enumerate() {
+        lanes[i] = round(lanes[i], word(w));
+    }
+    let mut tail = [0u8; 8];
+    tail[..words.remainder().len()].copy_from_slice(words.remainder());
+    // `len ≤ MAX_PAYLOAD < 2^56`, so `len << 8 | opcode` is injective in
+    // both.
+    let mut h = fold(0, (payload.len() as u64) << 8 | u64::from(opcode));
+    h = fold(h, u64::from_le_bytes(tail));
+    for lane in lanes {
+        h = fold(h, lane);
+    }
+    fmix64(h)
+}
+
+/// Start a frame in `buf`: clear it (keeping its allocation) and write
+/// the header for `opcode` with a placeholder length. Append the
+/// payload to `buf`, then close the frame with [`seal_frame`].
+///
+/// The copy-free encode primitive: a connection that reuses one buffer
+/// encodes each message in place and hands the transport one
+/// contiguous frame for a single write.
+pub fn begin_frame(buf: &mut Vec<u8>, opcode: u8) {
+    buf.clear();
+    buf.extend_from_slice(&MAGIC.to_le_bytes());
+    buf.extend_from_slice(&VERSION.to_le_bytes());
+    buf.push(opcode);
+    buf.extend_from_slice(&[0; 4]);
+}
+
+/// Close a frame begun with [`begin_frame`]: fill in the payload length
+/// and append the checksum trailer. Returns the frame's wire bytes
+/// (`OVERHEAD_BYTES + payload len`).
+///
+/// # Errors
+/// [`CheckpointError::Corrupt`] if the payload exceeds [`MAX_PAYLOAD`];
+/// `buf` then still holds the unsealed frame.
+///
+/// # Panics
+/// Panics if `buf` is shorter than a header (no frame was begun).
+pub fn seal_frame(buf: &mut Vec<u8>) -> Result<usize, CheckpointError> {
+    let len = buf.len() - HEADER_BYTES;
+    if len > MAX_PAYLOAD {
+        return Err(CheckpointError::Corrupt("frame payload exceeds maximum"));
+    }
+    #[allow(clippy::cast_possible_truncation)] // bounded by MAX_PAYLOAD
+    buf[7..HEADER_BYTES].copy_from_slice(&(len as u32).to_le_bytes());
+    let check = checksum(buf[6], &buf[HEADER_BYTES..]);
+    buf.extend_from_slice(&check.to_le_bytes());
+    Ok(buf.len())
 }
 
 /// Wrap an opcode + payload into one complete frame.
@@ -115,14 +225,11 @@ pub fn frame_bytes(opcode: u8, payload: &[u8]) -> Vec<u8> {
         payload.len() <= MAX_PAYLOAD,
         "frame payload exceeds MAX_PAYLOAD"
     );
-    let mut w = StateWriter::new();
-    w.put_u32(MAGIC);
-    w.put_u16(VERSION);
-    w.put_u8(opcode);
-    w.put_len(payload.len());
-    w.put_bytes(payload);
-    w.put_u64(checksum(opcode, payload));
-    w.into_bytes()
+    let mut frame = Vec::with_capacity(OVERHEAD_BYTES + payload.len());
+    begin_frame(&mut frame, opcode);
+    frame.extend_from_slice(payload);
+    seal_frame(&mut frame).expect("payload bounded above");
+    frame
 }
 
 /// Validate one frame occupying *all* of `bytes`; return the opcode and
@@ -157,26 +264,16 @@ pub fn decode_frame(bytes: &[u8]) -> Result<(u8, &[u8]), CheckpointError> {
     Ok((opcode, payload))
 }
 
-/// Write one frame to a stream, returning the bytes put on the wire
-/// (`OVERHEAD_BYTES + payload.len()` — the number every byte counter
-/// accumulates).
-///
-/// # Errors
-/// Propagates the writer's I/O errors.
-pub fn write_frame<W: Write + ?Sized>(w: &mut W, opcode: u8, payload: &[u8]) -> io::Result<usize> {
-    let frame = frame_bytes(opcode, payload);
-    w.write_all(&frame)?;
-    Ok(frame.len())
-}
-
 /// Stream one frame to a writer without materializing it: a
-/// stack-allocated header, the caller's payload slice, and a trailer
-/// whose checksum is folded incrementally with [`fnv1a_64_update`] —
-/// no intermediate `Vec`, byte-identical to [`frame_bytes`] output.
+/// stack-allocated header, the caller's payload slice, and the
+/// checksum trailer — no intermediate `Vec`, byte-identical to
+/// [`frame_bytes`] output.
 ///
-/// This is the encode half of the zero-copy hot path: a buffered writer
-/// sees three `write_all` calls instead of one heap-allocated copy of
-/// the whole frame per message.
+/// For a payload already encoded in its own buffer (a server reply): a
+/// buffered writer sees three `write_all` calls instead of a
+/// heap-allocated copy of the whole frame. A payload still to be
+/// encoded is cheaper built in place with [`begin_frame`] /
+/// [`seal_frame`] and sent with one write.
 ///
 /// # Errors
 /// Propagates the writer's I/O errors.
@@ -228,7 +325,10 @@ pub fn read_frame<R: Read + ?Sized>(r: &mut R) -> Result<Option<(u8, Vec<u8>)>, 
 /// per frame once the buffer has grown to the connection's working
 /// frame size. Semantics are otherwise identical to [`read_frame`] —
 /// same clean-EOF detection, the same [`MAX_PAYLOAD`] bound *before*
-/// the buffer is grown, and the same truncation mapping.
+/// the buffer is grown, and the same truncation mapping. The buffer
+/// grows in steps of at most 1 MiB as payload bytes arrive, so a header
+/// whose length claim goes unmet cannot make it allocate
+/// [`MAX_PAYLOAD`].
 ///
 /// On any error the buffer's contents are unspecified (but the buffer
 /// stays reusable).
@@ -271,8 +371,13 @@ pub fn read_frame_into<R: Read + ?Sized>(
     }
 
     payload.clear();
-    payload.resize(len, 0);
-    r.read_exact(payload).map_err(map_eof)?;
+    // Grow at most READ_AHEAD_BYTES past the bytes that have arrived,
+    // so a bare header cannot make the reader allocate MAX_PAYLOAD.
+    while payload.len() < len {
+        let filled = payload.len();
+        payload.resize(len.min(filled + READ_AHEAD_BYTES), 0);
+        r.read_exact(&mut payload[filled..]).map_err(map_eof)?;
+    }
     let mut trailer = [0u8; TRAILER_BYTES];
     r.read_exact(&mut trailer).map_err(map_eof)?;
     if u64::from_le_bytes(trailer) != checksum(opcode, payload) {
@@ -280,6 +385,10 @@ pub fn read_frame_into<R: Read + ?Sized>(
     }
     Ok(Some(opcode))
 }
+
+/// How far [`read_frame_into`] grows its buffer ahead of the payload
+/// bytes that have arrived.
+const READ_AHEAD_BYTES: usize = 1 << 20;
 
 /// An EOF mid-frame is a protocol truncation, not a transport error.
 fn map_eof(e: io::Error) -> FrameError {
@@ -425,6 +534,7 @@ impl FrameDecoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dds_core::checkpoint::StateWriter;
 
     #[test]
     fn roundtrip_through_bytes_and_streams() {
@@ -546,6 +656,33 @@ mod tests {
             bad[i] ^= 0x10;
             assert!(decode_frame(&bad).is_err(), "flip at byte {i} accepted");
         }
+    }
+
+    #[test]
+    fn seal_refuses_an_oversized_payload() {
+        let mut buf = vec![0u8; HEADER_BYTES + MAX_PAYLOAD + 1];
+        assert_eq!(
+            seal_frame(&mut buf),
+            Err(CheckpointError::Corrupt("frame payload exceeds maximum"))
+        );
+        assert_eq!(buf.len(), HEADER_BYTES + MAX_PAYLOAD + 1, "left unsealed");
+    }
+
+    #[test]
+    fn an_unmet_length_claim_does_not_grow_the_buffer() {
+        let mut w = StateWriter::new();
+        w.put_u32(MAGIC);
+        w.put_u16(VERSION);
+        w.put_u8(1);
+        w.put_u32(32 << 20); // claims 32 MiB, then the peer is gone
+        w.put_bytes(b"short");
+        let bytes = w.into_bytes();
+        let mut payload = Vec::new();
+        assert!(matches!(
+            read_frame_into(&mut io::Cursor::new(&bytes), &mut payload),
+            Err(FrameError::Format(CheckpointError::Truncated))
+        ));
+        assert!(payload.capacity() <= READ_AHEAD_BYTES, "grew to the claim");
     }
 
     #[test]

@@ -230,11 +230,23 @@ pub enum Response {
 // Shared field codecs.
 // ---------------------------------------------------------------------
 
+/// One batch row on the wire: tenant then element, 16 bytes. The only
+/// writer of the row layout, shared by [`put_batch`] and
+/// [`encode_batch_request`].
+fn batch_row(t: TenantId, e: Element) -> [u8; 16] {
+    let mut row = [0u8; 16];
+    row[..8].copy_from_slice(&t.0.to_le_bytes());
+    row[8..].copy_from_slice(&e.0.to_le_bytes());
+    row
+}
+
 fn put_batch(w: &mut StateWriter, batch: &[(TenantId, Element)]) {
+    // Room for the count, the rows and the frame trailer that follows,
+    // so neither the rows nor sealing the frame reallocate.
+    w.reserve(4 + 16 * batch.len() + frame::TRAILER_BYTES);
     w.put_len(batch.len());
     for &(t, e) in batch {
-        w.put_u64(t.0);
-        w.put_element(e);
+        w.put_bytes(&batch_row(t, e));
     }
 }
 
@@ -254,15 +266,58 @@ pub fn get_batch_into(
     r: &mut StateReader<'_>,
     batch: &mut Vec<(TenantId, Element)>,
 ) -> Result<(), CheckpointError> {
+    // `get_len` has bounded `16 n` by the remaining input, so the whole
+    // batch is one slice and each row a fixed 16-byte chunk.
     let n = r.get_len(16)?;
+    let rows = r.get_bytes(16 * n)?;
     batch.clear();
-    batch.reserve(n);
-    for _ in 0..n {
-        let t = TenantId(r.get_u64()?);
-        let e = r.get_element()?;
-        batch.push((t, e));
-    }
+    batch.extend(rows.chunks_exact(16).map(|row| {
+        let (t, e) = row.split_at(8);
+        (
+            TenantId(u64::from_le_bytes(t.try_into().expect("8-byte tenant"))),
+            Element(u64::from_le_bytes(e.try_into().expect("8-byte element"))),
+        )
+    }));
     Ok(())
+}
+
+/// Encode an [`opcode::OBSERVE_BATCH`] frame (or, with `now`, an
+/// [`opcode::OBSERVE_BATCH_AT`] frame) into `buf`, straight from the
+/// caller's iterator: no batch `Vec`, no payload `Vec`, and `buf`'s
+/// allocation is reused. Byte-identical to [`Request::encode`] of the
+/// same batch. Returns the number of observations encoded.
+///
+/// # Errors
+/// [`CheckpointError::Corrupt`] if the batch exceeds
+/// [`frame::MAX_PAYLOAD`] (`buf` then holds the unsealed frame).
+pub fn encode_batch_request(
+    buf: &mut Vec<u8>,
+    now: Option<Slot>,
+    batch: impl IntoIterator<Item = (TenantId, Element)>,
+) -> Result<usize, CheckpointError> {
+    let op = match now {
+        None => opcode::OBSERVE_BATCH,
+        Some(_) => opcode::OBSERVE_BATCH_AT,
+    };
+    let batch = batch.into_iter();
+    frame::begin_frame(buf, op);
+    let rows = batch.size_hint().0.min(frame::MAX_PAYLOAD / 16);
+    buf.reserve(12 + 16 * rows + frame::TRAILER_BYTES);
+    if let Some(now) = now {
+        buf.extend_from_slice(&now.0.to_le_bytes());
+    }
+    let count_at = buf.len();
+    buf.extend_from_slice(&[0; 4]);
+    let mut n = 0usize;
+    for (t, e) in batch {
+        buf.extend_from_slice(&batch_row(t, e));
+        n += 1;
+    }
+    // A count past u32 is past MAX_PAYLOAD too, so sealing refuses it.
+    let count = u32::try_from(n).unwrap_or(u32::MAX);
+    buf[count_at..count_at + 4].copy_from_slice(&count.to_le_bytes());
+    frame::seal_frame(buf)?;
+    Ok(n)
 }
 
 /// Decode an [`opcode::OBSERVE_BATCH`] or [`opcode::OBSERVE_BATCH_AT`]
@@ -484,6 +539,11 @@ impl Request {
     #[must_use]
     pub fn payload(&self) -> Vec<u8> {
         let mut w = StateWriter::new();
+        self.put_payload(&mut w);
+        w.into_bytes()
+    }
+
+    fn put_payload(&self, w: &mut StateWriter) {
         match self {
             Request::Observe { tenant, element } => {
                 w.put_u64(tenant.0);
@@ -498,10 +558,10 @@ impl Request {
                 w.put_element(*element);
                 w.put_slot(*now);
             }
-            Request::ObserveBatch { batch } => put_batch(&mut w, batch),
+            Request::ObserveBatch { batch } => put_batch(w, batch),
             Request::ObserveBatchAt { now, batch } => {
                 w.put_slot(*now);
-                put_batch(&mut w, batch);
+                put_batch(w, batch);
             }
             Request::Advance { now } => w.put_slot(*now),
             Request::Snapshot { tenant } => w.put_u64(tenant.0),
@@ -511,23 +571,44 @@ impl Request {
             }
             Request::SnapshotView { tenant, at } => {
                 w.put_u64(tenant.0);
-                put_opt_slot(&mut w, *at);
+                put_opt_slot(w, *at);
             }
-            Request::SnapshotAll { at } => put_opt_slot(&mut w, *at),
+            Request::SnapshotAll { at } => put_opt_slot(w, *at),
             Request::Flush
             | Request::Metrics
             | Request::Checkpoint
             | Request::Shutdown
             | Request::Telemetry => {}
-            Request::Restore { document } => put_document(&mut w, document),
+            Request::Restore { document } => put_document(w, document),
         }
-        w.into_bytes()
     }
 
     /// Encode into one complete wire frame.
+    ///
+    /// # Panics
+    /// Panics if the payload exceeds [`frame::MAX_PAYLOAD`], like
+    /// [`frame::frame_bytes`].
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        frame::frame_bytes(self.opcode(), &self.payload())
+        let mut frame = Vec::new();
+        self.encode_into(&mut frame)
+            .expect("frame payload exceeds MAX_PAYLOAD");
+        frame
+    }
+
+    /// Encode into one complete wire frame in `buf` (cleared first, its
+    /// allocation reused): the payload is written in place after the
+    /// header, so no payload `Vec` is built. Returns the wire bytes.
+    ///
+    /// # Errors
+    /// [`CheckpointError::Corrupt`] if the payload exceeds
+    /// [`frame::MAX_PAYLOAD`] (`buf` then holds the unsealed frame).
+    pub fn encode_into(&self, buf: &mut Vec<u8>) -> Result<usize, CheckpointError> {
+        frame::begin_frame(buf, self.opcode());
+        let mut w = StateWriter::from_vec(std::mem::take(buf));
+        self.put_payload(&mut w);
+        *buf = w.into_bytes();
+        frame::seal_frame(buf)
     }
 
     /// Decode from an opcode + payload (as produced by the frame
@@ -830,6 +911,51 @@ mod tests {
             let frame = request.encode();
             assert_eq!(Request::decode_frame(&frame), Ok(request.clone()));
             assert_eq!(frame.len(), request.wire_bytes());
+        }
+    }
+
+    #[test]
+    fn in_place_encoders_match_the_payload_layout() {
+        let batch = vec![(TenantId(3), Element(4)), (TenantId(5), Element(6))];
+        let requests = vec![
+            Request::Observe {
+                tenant: TenantId(1),
+                element: Element(2),
+            },
+            Request::ObserveBatch {
+                batch: batch.clone(),
+            },
+            Request::ObserveBatch { batch: Vec::new() },
+            Request::ObserveBatchAt {
+                now: Slot(9),
+                batch: batch.clone(),
+            },
+            Request::SnapshotAll { at: Some(Slot(2)) },
+            Request::Restore {
+                document: vec![1, 2, 3],
+            },
+            Request::Telemetry,
+        ];
+        // One reused buffer, stale contents and all.
+        let mut buf = vec![0xEE; 64];
+        for request in &requests {
+            let reference = frame::frame_bytes(request.opcode(), &request.payload());
+            assert_eq!(request.encode_into(&mut buf), Ok(reference.len()));
+            assert_eq!(buf, reference, "{request:?}");
+        }
+        for now in [None, Some(Slot(9))] {
+            let n = encode_batch_request(&mut buf, now, batch.iter().copied());
+            assert_eq!(n, Ok(2));
+            let request = match now {
+                None => Request::ObserveBatch {
+                    batch: batch.clone(),
+                },
+                Some(now) => Request::ObserveBatchAt {
+                    now,
+                    batch: batch.clone(),
+                },
+            };
+            assert_eq!(buf, request.encode());
         }
     }
 

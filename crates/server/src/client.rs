@@ -40,8 +40,8 @@ use std::time::Duration;
 
 use dds_engine::{EngineError, EngineMetrics, EngineReport, TenantId, TenantView};
 use dds_obs::TelemetrySnapshot;
-use dds_proto::frame::{frame_bytes, read_frame_into, write_frame_to, OVERHEAD_BYTES};
-use dds_proto::message::{decode_outcome, Request, Response};
+use dds_proto::frame::{read_frame_into, HEADER_BYTES, OVERHEAD_BYTES};
+use dds_proto::message::{decode_outcome, encode_batch_request, Request, Response};
 use dds_proto::EngineService;
 use dds_sim::{Element, Slot};
 
@@ -121,9 +121,13 @@ struct Conn {
     /// into this one allocation (acks are empty; query replies reuse
     /// whatever it has grown to).
     read_buf: Vec<u8>,
+    /// Reusable outbound frame buffer: every request is encoded in place
+    /// here and sent with one `write_all`.
+    frame: Vec<u8>,
     /// Encoded pipelined ingest frames whose acks have not been read
-    /// yet — the replay window. Populated only when reconnect is on;
-    /// bounded by the ack-pipelining window (512 frames).
+    /// yet — the replay window. Populated only when reconnect is on: a
+    /// sent frame buffer moves in here and is dropped once its ack is
+    /// read. Bounded by the ack-pipelining window (512 frames).
     unacked: VecDeque<Vec<u8>>,
     stats: ClientStats,
 }
@@ -159,6 +163,7 @@ impl Client {
                 pending: PendingBatch::Empty,
                 deferred: None,
                 read_buf: Vec::new(),
+                frame: Vec::new(),
                 unacked: VecDeque::new(),
                 stats: ClientStats::default(),
             }),
@@ -281,6 +286,8 @@ impl Client {
     }
 
     /// Ship a prepared batch as one frame (after flushing any buffer).
+    /// The frame is encoded straight from the iterator into the
+    /// connection's reusable frame buffer: no batch or payload copy.
     ///
     /// # Errors
     /// As [`Client::observe`].
@@ -288,21 +295,11 @@ impl Client {
         &self,
         batch: impl IntoIterator<Item = (TenantId, Element)>,
     ) -> Result<(), EngineError> {
-        let batch: Vec<(TenantId, Element)> = batch.into_iter().collect();
-        if batch.is_empty() {
-            return Ok(());
-        }
-        let mut conn = self.conn.lock().expect("client connection lock");
-        conn.stats.elements_observed += batch.len() as u64;
-        let request = Request::ObserveBatch { batch };
-        let mut sent = flush_pending(&mut conn, self.config.reconnect);
-        if sent.is_ok() {
-            sent = send_pipelined(&mut conn, &request, self.config.reconnect);
-        }
-        self.ship(&mut conn, sent)
+        self.send_batch(None, batch)
     }
 
-    /// Ship a prepared single-slot batch as one frame.
+    /// Ship a prepared single-slot batch as one frame, like
+    /// [`Client::observe_batch`].
     ///
     /// # Errors
     /// As [`Client::observe`].
@@ -311,17 +308,28 @@ impl Client {
         now: Slot,
         batch: impl IntoIterator<Item = (TenantId, Element)>,
     ) -> Result<(), EngineError> {
-        let batch: Vec<(TenantId, Element)> = batch.into_iter().collect();
-        if batch.is_empty() {
+        self.send_batch(Some(now), batch)
+    }
+
+    fn send_batch(
+        &self,
+        now: Option<Slot>,
+        batch: impl IntoIterator<Item = (TenantId, Element)>,
+    ) -> Result<(), EngineError> {
+        let mut batch = batch.into_iter().peekable();
+        if batch.peek().is_none() {
             return Ok(());
         }
         let mut conn = self.conn.lock().expect("client connection lock");
-        conn.stats.elements_observed += batch.len() as u64;
-        let request = Request::ObserveBatchAt { now, batch };
-        let mut sent = flush_pending(&mut conn, self.config.reconnect);
-        if sent.is_ok() {
-            sent = send_pipelined(&mut conn, &request, self.config.reconnect);
-        }
+        let flushed = flush_pending(&mut conn, self.config.reconnect);
+        self.ship(&mut conn, flushed)?;
+        let sent = match encode_batch_request(&mut conn.frame, now, batch) {
+            Ok(n) => {
+                conn.stats.elements_observed += n as u64;
+                pipeline_frame(&mut conn, self.config.reconnect)
+            }
+            Err(_) => Err(oversized(&mut conn)),
+        };
         self.ship(&mut conn, sent)
     }
 
@@ -332,10 +340,9 @@ impl Client {
     /// As [`Client::observe`].
     pub fn advance(&self, now: Slot) -> Result<(), EngineError> {
         let mut conn = self.conn.lock().expect("client connection lock");
-        let mut sent = flush_pending(&mut conn, self.config.reconnect);
-        if sent.is_ok() {
-            sent = send_pipelined(&mut conn, &Request::Advance { now }, self.config.reconnect);
-        }
+        let flushed = flush_pending(&mut conn, self.config.reconnect);
+        self.ship(&mut conn, flushed)?;
+        let sent = send_pipelined(&mut conn, &Request::Advance { now }, self.config.reconnect);
         self.ship(&mut conn, sent)
     }
 
@@ -708,59 +715,79 @@ fn flush_pending(conn: &mut Conn, retain: bool) -> Result<(), EngineError> {
 /// backlog bounded (~10 KiB) while still amortizing reads.
 const MAX_ACKS_PENDING: u64 = 512;
 
-/// Write one ingest frame without waiting for its ack (up to the
-/// pipelining window). With `retain`, the encoded frame is kept in the
-/// replay window until its ack is read, so a reconnect can resend it.
+/// Encode `request` and write it without waiting for its ack (up to
+/// the pipelining window), like [`pipeline_frame`].
 fn send_pipelined(conn: &mut Conn, request: &Request, retain: bool) -> Result<(), EngineError> {
-    if retain {
-        let payload = request.payload();
-        check_payload(payload.len())?;
-        let frame = frame_bytes(request.opcode(), &payload);
-        conn.stats.requests_sent += 1;
-        conn.stats.bytes_sent += frame.len() as u64;
-        conn.stats.acks_pending += 1;
-        conn.unacked.push_back(frame);
-        let frame = conn.unacked.back().expect("frame just retained");
-        conn.writer.write_all(frame).map_err(EngineError::from)?;
-    } else {
-        send_request(conn, request)?;
-        conn.stats.acks_pending += 1;
-    }
+    encode_request(conn, request)?;
+    pipeline_frame(conn, retain)
+}
+
+/// Write the frame in `conn.frame` without waiting for its ack (up to
+/// the pipelining window). With `retain`, the frame stays in the replay
+/// window until its ack is read, so a reconnect can resend it.
+fn pipeline_frame(conn: &mut Conn, retain: bool) -> Result<(), EngineError> {
+    send_frame(conn, retain)?;
+    conn.stats.acks_pending += 1;
     if conn.stats.acks_pending >= MAX_ACKS_PENDING {
         conn.writer.flush().map_err(EngineError::from)?;
         while conn.stats.acks_pending >= MAX_ACKS_PENDING / 2 {
             let outcome = read_outcome(conn)?;
-            conn.stats.acks_pending -= 1;
-            conn.unacked.pop_front();
-            if let Err(e) = outcome {
-                conn.deferred.get_or_insert(e);
-            }
+            settle_ack(conn, outcome);
         }
     }
     Ok(())
 }
 
-/// Typed error instead of the frame layer's panic: a caller handing
-/// us an over-limit document (or a gigantic prepared batch) gets a
-/// clean refusal and a still-usable connection.
-fn check_payload(len: usize) -> Result<(), EngineError> {
-    if len > dds_proto::MAX_PAYLOAD {
-        return Err(EngineError::Unsupported(format!(
-            "request payload of {len} bytes exceeds the {} byte frame limit",
-            dds_proto::MAX_PAYLOAD
-        )));
+/// Account one pipelined ack: its frame leaves the replay window and
+/// an error it carries is deferred to the next synchronous call.
+fn settle_ack(conn: &mut Conn, outcome: Result<Response, EngineError>) {
+    conn.stats.acks_pending -= 1;
+    conn.unacked.pop_front();
+    if let Err(e) = outcome {
+        conn.deferred.get_or_insert(e);
     }
-    Ok(())
 }
 
-fn send_request(conn: &mut Conn, request: &Request) -> Result<(), EngineError> {
-    let payload = request.payload();
-    check_payload(payload.len())?;
-    // Streamed encode: header + payload + trailer straight into the
-    // buffered writer, no contiguous frame allocation per request.
-    let wire = write_frame_to(&mut conn.writer, request.opcode(), &payload)?;
+/// Encode `request` into the connection's frame buffer.
+fn encode_request(conn: &mut Conn, request: &Request) -> Result<(), EngineError> {
+    match request.encode_into(&mut conn.frame) {
+        Ok(_) => Ok(()),
+        Err(_) => Err(oversized(conn)),
+    }
+}
+
+/// Typed error instead of the frame layer's refusal: a caller handing
+/// us an over-limit document (or a gigantic prepared batch) gets a
+/// clean refusal and a still-usable connection. The unsealed frame's
+/// allocation is released rather than kept as the frame buffer.
+fn oversized(conn: &mut Conn) -> EngineError {
+    let len = std::mem::take(&mut conn.frame).len() - HEADER_BYTES;
+    EngineError::Unsupported(format!(
+        "request payload of {len} bytes exceeds the {} byte frame limit",
+        dds_proto::MAX_PAYLOAD
+    ))
+}
+
+/// Frame buffers above this capacity (a restored checkpoint document)
+/// are released after sending rather than kept for the next request.
+const KEEP_FRAME_BYTES: usize = 1 << 20;
+
+/// Write the frame in `conn.frame` with one `write_all` and count it.
+/// With `retain`, the buffer moves into the replay window and is
+/// written from there.
+fn send_frame(conn: &mut Conn, retain: bool) -> Result<(), EngineError> {
+    let frame = if retain {
+        conn.unacked.push_back(std::mem::take(&mut conn.frame));
+        conn.unacked.back().expect("frame just retained")
+    } else {
+        &conn.frame
+    };
+    conn.writer.write_all(frame).map_err(EngineError::from)?;
     conn.stats.requests_sent += 1;
-    conn.stats.bytes_sent += wire as u64;
+    conn.stats.bytes_sent += frame.len() as u64;
+    if conn.frame.capacity() > KEEP_FRAME_BYTES {
+        conn.frame = Vec::new();
+    }
     Ok(())
 }
 
@@ -780,15 +807,12 @@ fn read_outcome(conn: &mut Conn) -> Result<Result<Response, EngineError>, Engine
 /// request's own response. A deferred error outranks the response — the
 /// caller's earlier ingest already failed.
 fn roundtrip(conn: &mut Conn, request: &Request) -> Result<Response, EngineError> {
-    send_request(conn, request)?;
+    encode_request(conn, request)?;
+    send_frame(conn, false)?;
     conn.writer.flush().map_err(EngineError::from)?;
     while conn.stats.acks_pending > 0 {
         let outcome = read_outcome(conn)?;
-        conn.stats.acks_pending -= 1;
-        conn.unacked.pop_front();
-        if let Err(e) = outcome {
-            conn.deferred.get_or_insert(e);
-        }
+        settle_ack(conn, outcome);
     }
     let outcome = read_outcome(conn)?;
     if let Some(deferred) = conn.deferred.take() {

@@ -213,6 +213,63 @@ fn malformed_frame_gets_typed_error_then_close() {
 }
 
 #[test]
+fn a_version_2_peer_is_refused_and_the_server_keeps_serving() {
+    use std::io::{Read, Write};
+
+    use dds_engine::EngineError;
+    use dds_hash::fnv::{fnv1a_64_update, FNV1A_64_OFFSET};
+    use dds_proto::{decode_outcome, opcode, Request};
+
+    let (server, client) = serve_evented(infinite_spec(), 2);
+    let addr = server.local_addr().expect("addr");
+    client
+        .observe_batch((0..100).map(|x| (TenantId(1), Element(x))))
+        .expect("v3 ingest");
+    client.flush().expect("barrier");
+
+    // An ObserveBatch frame as a version-2 peer writes it: the same
+    // layout, version 2, and an FNV-1a 64 trailer.
+    let payload = Request::ObserveBatch {
+        batch: vec![(TenantId(2), Element(7))],
+    }
+    .payload();
+    let mut v2 = b"DDSP".to_vec();
+    v2.extend_from_slice(&2u16.to_le_bytes());
+    v2.push(opcode::OBSERVE_BATCH);
+    v2.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    v2.extend_from_slice(&payload);
+    let check = fnv1a_64_update(
+        fnv1a_64_update(FNV1A_64_OFFSET, &[opcode::OBSERVE_BATCH]),
+        &payload,
+    );
+    v2.extend_from_slice(&check.to_le_bytes());
+
+    // The v2 connection gets one typed error frame, then is closed.
+    let mut raw = std::net::TcpStream::connect(addr).expect("connect");
+    raw.write_all(&v2).expect("write v2 frame");
+    let mut reply = Vec::new();
+    raw.read_to_end(&mut reply).expect("read until close");
+    let (op, body) = dds_proto::frame::decode_frame(&reply).expect("one v3 error frame");
+    match decode_outcome(op, body).expect("well-formed outcome") {
+        Err(EngineError::Format(msg)) => assert!(msg.contains("version 2"), "{msg}"),
+        other => panic!("v2 peer answered {other:?}"),
+    }
+
+    // Nothing of the v2 frame was applied, and the live v3 connection
+    // keeps being served.
+    client
+        .observe_batch((100..200).map(|x| (TenantId(1), Element(x))))
+        .expect("v3 ingest after the v2 peer");
+    client.flush().expect("barrier");
+    assert_eq!(client.metrics().expect("metrics").total_elements(), 200);
+    assert_eq!(
+        client.snapshot(TenantId(2)),
+        Err(EngineError::UnknownTenant(TenantId(2)))
+    );
+    let _ = server.shutdown();
+}
+
+#[test]
 fn reactor_telemetry_is_exported_and_merged_over_the_wire() {
     let (server, client) = serve_evented(infinite_spec(), 1);
     for x in 0..200u64 {

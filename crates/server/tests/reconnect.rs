@@ -165,3 +165,61 @@ fn reconnect_off_surfaces_the_transport_error() {
     let err = client.flush().expect_err("server is gone");
     assert!(matches!(err, EngineError::Transport(_)), "got {err:?}");
 }
+
+#[test]
+fn a_batch_shipped_after_a_failed_buffer_flush_is_not_lost() {
+    let path = sock_path("batch-after-flush");
+    let serve = |engine: Engine| {
+        Server::bind_unix_with(
+            &path,
+            Arc::new(EngineHost::new(engine)),
+            ServerConfig::Evented { workers: 1 },
+        )
+        .expect("bind")
+    };
+    let first = serve(Engine::spawn(EngineConfig::new(spec())));
+    let client = Client::connect_unix(&path)
+        .expect("connect")
+        .with_batch_capacity(1024)
+        .with_config(retrying());
+    let twin = Engine::spawn(EngineConfig::new(spec()));
+    client.flush().expect("barrier");
+    let document = client.checkpoint().expect("checkpoint at the barrier");
+
+    // 600 observations wait in the client's local buffer: a frame too
+    // big for the write buffer, so shipping it hits the dead socket at
+    // once.
+    for x in 0..600u64 {
+        client
+            .observe(TenantId(x % 5), Element(x))
+            .expect("buffered");
+        twin.observe(TenantId(x % 5), Element(x));
+    }
+    let _ = first.shutdown();
+    let second = serve(Engine::restore(&document).expect("restore"));
+
+    // The buffer flush fails, recovery replays it, and the batch itself
+    // must still be sent.
+    let batch: Vec<(TenantId, Element)> = (600..800u64)
+        .map(|x| (TenantId(x % 5), Element(x)))
+        .collect();
+    client.observe_batch(batch.iter().copied()).expect("batch");
+    twin.observe_batch(batch);
+    client.flush().expect("post-recovery barrier");
+    twin.flush();
+
+    assert_eq!(client.stats().reconnects, 1, "exactly one redial");
+    assert_eq!(
+        client.metrics().expect("metrics").total_elements(),
+        twin.metrics().total_elements(),
+        "the batch after the failed flush was dropped"
+    );
+    for t in 0..5 {
+        assert_eq!(
+            client.snapshot(TenantId(t)).expect("recovered snapshot"),
+            twin.snapshot(TenantId(t)).expect("twin snapshot"),
+        );
+    }
+    let _ = twin.shutdown();
+    let _ = second.shutdown();
+}
