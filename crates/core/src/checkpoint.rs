@@ -55,7 +55,7 @@ use dds_hash::unit::HashKind;
 use dds_hash::SeededHash;
 use dds_sim::{Element, Slot};
 
-use crate::sampler::DistinctSampler;
+use crate::sampler::{DistinctSampler, KindVisitor, SamplerKind, SpecSampler};
 
 /// Envelope magic: `b"DDSC"` read as a little-endian `u32`.
 pub const MAGIC: u32 = u32::from_le_bytes(*b"DDSC");
@@ -397,22 +397,50 @@ pub fn read_envelope(bytes: &[u8]) -> Result<(u8, &[u8]), CheckpointError> {
 ///
 /// [`DistinctSampler::checkpoint`]: crate::sampler::DistinctSampler::checkpoint
 pub fn restore_sampler(bytes: &[u8]) -> Result<Box<dyn DistinctSampler>, CheckpointError> {
+    struct DecodeBoxed<'a>(u8, &'a [u8]);
+    impl KindVisitor for DecodeBoxed<'_> {
+        type Output = Result<Box<dyn DistinctSampler>, CheckpointError>;
+        fn visit<S: SpecSampler>(self) -> Self::Output {
+            debug_assert_eq!(S::KIND_TAG, self.0, "tag mapped to another kind");
+            Ok(Box::new(decode_as::<S>(self.1)?))
+        }
+    }
     let (kind_tag, payload) = read_envelope(bytes)?;
-    let mut r = StateReader::new(payload);
-    let sampler: Box<dyn DistinctSampler> = match kind_tag {
-        kind::CENTRALIZED => Box::new(crate::centralized::CentralizedSampler::decode_state(
-            &mut r,
-        )?),
-        kind::INFINITE => Box::new(crate::sampler::FusedInfinite::decode_state(&mut r)?),
-        kind::WITH_REPLACEMENT => Box::new(crate::sampler::FusedWr::decode_state(&mut r)?),
-        kind::SLIDING => Box::new(
-            crate::sampler::FusedSliding::<dds_treap::FlatStaircase>::decode_state(&mut r)?,
-        ),
-        kind::SLIDING_MULTI => Box::new(crate::sampler::FusedSlidingMulti::<
-            dds_treap::FlatStaircase,
-        >::decode_state(&mut r)?),
+    // The window does not pick the type: any window stands for its kind.
+    let kind = match kind_tag {
+        kind::CENTRALIZED => SamplerKind::Centralized,
+        kind::INFINITE => SamplerKind::Infinite,
+        kind::WITH_REPLACEMENT => SamplerKind::WithReplacement,
+        kind::SLIDING => SamplerKind::Sliding { window: 1 },
+        kind::SLIDING_MULTI => SamplerKind::SlidingMulti { window: 1 },
         other => return Err(CheckpointError::UnknownKind(other)),
     };
+    kind.with_type(DecodeBoxed(kind_tag, payload))
+}
+
+/// [`restore_sampler`] into one concrete type: the envelope must carry
+/// `S`'s kind tag, and the payload decodes straight into `S` with no
+/// box.
+///
+/// # Errors
+/// As [`restore_sampler`], plus
+/// `Corrupt("sampler kind unlike the expected type")` for a valid
+/// envelope of another kind.
+pub fn restore_as<S: SpecSampler>(bytes: &[u8]) -> Result<S, CheckpointError> {
+    let (kind_tag, payload) = read_envelope(bytes)?;
+    if kind_tag != S::KIND_TAG {
+        return Err(CheckpointError::Corrupt(
+            "sampler kind unlike the expected type",
+        ));
+    }
+    decode_as(payload)
+}
+
+/// Decode a whole envelope payload as `S`, the type of the envelope's
+/// kind tag.
+fn decode_as<S: SpecSampler>(payload: &[u8]) -> Result<S, CheckpointError> {
+    let mut r = StateReader::new(payload);
+    let sampler = S::decode_payload(&mut r)?;
     r.expect_end()?;
     Ok(sampler)
 }

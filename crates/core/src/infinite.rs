@@ -140,6 +140,17 @@ impl LazySite {
         })
     }
 
+    /// Algorithm 1's reply step, `uᵢ ← u`. The coordinator's `u` is
+    /// non-increasing, so this preserves `uᵢ ≥ u`; it can only lower
+    /// `uᵢ` (debug-checked). A reply never produces an up-message.
+    pub(crate) fn refresh(&mut self, msg: DownThreshold) {
+        debug_assert!(
+            UnitValue(msg.u) <= self.u_i,
+            "threshold refresh may never raise uᵢ"
+        );
+        self.u_i = UnitValue(msg.u);
+    }
+
     /// Checkpoint encoding: the whole Algorithm 1 state — hash function,
     /// `uᵢ`, and the send diagnostic.
     pub(crate) fn encode_state(&self, w: &mut crate::checkpoint::StateWriter) {
@@ -172,13 +183,7 @@ impl SiteNode for LazySite {
     }
 
     fn handle(&mut self, msg: DownThreshold, _now: Slot, _out: &mut Vec<UpElem>) {
-        // uᵢ ← u. The coordinator's u is non-increasing, so this preserves
-        // uᵢ ≥ u; it can only lower uᵢ (debug-checked).
-        debug_assert!(
-            UnitValue(msg.u) <= self.u_i,
-            "threshold refresh may never raise uᵢ"
-        );
-        self.u_i = UnitValue(msg.u);
+        self.refresh(msg);
     }
 
     fn memory_tuples(&self) -> usize {
@@ -230,6 +235,28 @@ impl LazyCoordinator {
         &self.sample
     }
 
+    /// The protocol hash function `P` is keyed by.
+    pub(crate) fn hasher(&self) -> &SeededHash {
+        &self.hasher
+    }
+
+    /// Algorithm 2 for one received element whose hash the caller
+    /// already holds: offer `e` to `P`, then answer the reply to send
+    /// back to the sender, if any. `h` must equal `hasher.unit(e.0)`; a
+    /// fused site passes the hash it filtered on, so a threshold beat
+    /// hashes its element once.
+    pub fn handle_hashed(&mut self, e: Element, h: UnitValue) -> Option<DownThreshold> {
+        debug_assert_eq!(h, self.hasher.unit(e.0), "caller-supplied hash mismatch");
+        let before = self.threshold();
+        // Offer admits iff h beats the threshold (or P is not yet full)
+        // and the element is new — Algorithm 2 lines 4–9.
+        self.sample.offer(e, h);
+        let after = self.threshold();
+        // Line 11: reply (always) with the current u — unless the
+        // reply-on-change ablation is active and u is unchanged.
+        (!self.reply_only_on_change || after != before).then_some(DownThreshold { u: after.0 })
+    }
+
     /// Checkpoint encoding: hash function, reply policy, and the
     /// bottom-`s` sample `P` (Algorithm 2's entire state).
     pub(crate) fn encode_state(&self, w: &mut crate::checkpoint::StateWriter) {
@@ -265,15 +292,8 @@ impl CoordinatorNode for LazyCoordinator {
         out: &mut Vec<(Destination, DownThreshold)>,
     ) {
         let h = self.hasher.unit(msg.element.0);
-        let before = self.threshold();
-        // Offer admits iff h beats the threshold (or P is not yet full)
-        // and the element is new — Algorithm 2 lines 4–9.
-        self.sample.offer(msg.element, h);
-        let after = self.threshold();
-        // Line 11: reply (always) with the current u — unless the
-        // reply-on-change ablation is active and u is unchanged.
-        if !self.reply_only_on_change || after != before {
-            out.push((Destination::Site(from), DownThreshold { u: after.0 }));
+        if let Some(down) = self.handle_hashed(msg.element, h) {
+            out.push((Destination::Site(from), down));
         }
     }
 

@@ -77,12 +77,12 @@ pub mod with_replacement;
 
 pub use broadcast::BroadcastConfig;
 pub use centralized::{BottomS, CentralizedSampler, SlidingOracle};
-pub use checkpoint::{restore_sampler, CheckpointError};
+pub use checkpoint::{restore_as, restore_sampler, CheckpointError};
 pub use drs::{DrsConfig, HalvingConfig};
 pub use infinite::{InfiniteConfig, LazyCoordinator, LazySite};
 pub use sampler::{
-    DistinctSampler, FusedInfinite, FusedSliding, FusedSlidingMulti, FusedWr, SamplerKind,
-    SamplerSpec,
+    DistinctSampler, FusedInfinite, FusedSliding, FusedSlidingMulti, FusedWr, KindVisitor,
+    SamplerKind, SamplerSpec, SpecSampler,
 };
 pub use sliding::{CoordinatorMode, SlidingConfig, SwCoordinator, SwSite};
 pub use sliding_multi::MultiSlidingConfig;

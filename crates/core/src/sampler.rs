@@ -15,8 +15,11 @@
 //! `k = 1` deployment, which the tests pin down.
 //!
 //! [`SamplerSpec`] is the value-level description of an instance
-//! (protocol + sample size + hash seed) from which a serving layer can
-//! build boxed samplers per tenant without being generic over protocols.
+//! (protocol + sample size + hash seed). [`SamplerSpec::build`] boxes
+//! it for callers that want one type for every protocol; a serving
+//! layer that holds many instances of one spec is generic over the
+//! [`SpecSampler`] type the spec's kind builds instead, and keeps its
+//! instances unboxed.
 //!
 //! ## Time
 //!
@@ -31,22 +34,22 @@
 
 use dds_hash::family::HashFamily;
 use dds_hash::{SeededHash, UnitValue};
-use dds_sim::{CoordinatorNode, Destination, Element, SiteId, SiteNode, Slot};
+use dds_sim::{CoordinatorNode, Element, SiteId, SiteNode, Slot};
 use dds_treap::{CandidateSet, FlatStaircase};
 
 use crate::centralized::{CentralizedSampler, SlidingOracle};
 use crate::checkpoint::{self, CheckpointError, StateReader, StateWriter};
 use crate::infinite::{InfiniteConfig, LazyCoordinator, LazySite};
-use crate::messages::{CopyDown, CopyUp, DownThreshold, SwDown, SwUp, UpElem};
+use crate::messages::{CopyUp, UpElem};
 use crate::sliding::{SlidingConfig, SwCoordinator, SwSite};
 use crate::sliding_multi::{MultiSlidingConfig, MultiSwCoordinator, MultiSwSite};
 use crate::with_replacement::{WrCoordinator, WrSite};
 
 /// One self-contained distinct-sampling instance.
 ///
-/// Object-safe and `Send` so serving layers can hold
-/// `Box<dyn DistinctSampler>` per tenant and move whole tenant maps
-/// between worker threads.
+/// Object-safe (for [`SamplerSpec::build`]'s `Box<dyn DistinctSampler>`)
+/// and `Send`, so serving layers can move whole tenant maps between
+/// worker threads; the concrete types also implement [`SpecSampler`].
 pub trait DistinctSampler: Send {
     /// Observe one element of the instance's stream at the current clock.
     fn observe(&mut self, e: Element);
@@ -161,51 +164,6 @@ pub trait DistinctSampler: Send {
     fn checkpoint(&self, out: &mut Vec<u8>);
 }
 
-/// The in-process message pump shared by the fused adapters: deliver one
-/// observation to the site, route every resulting up-message to the
-/// coordinator, feed every reply back to the site, and tally both
-/// directions. Termination: site replies never generate new up-messages
-/// in these protocols, and each up-message produces at most one reply.
-fn pump_observe<S, C>(
-    site: &mut S,
-    coordinator: &mut C,
-    e: Element,
-    now: Slot,
-    up_buf: &mut Vec<S::Up>,
-    down_buf: &mut Vec<(Destination, C::Down)>,
-    messages: &mut u64,
-) where
-    S: SiteNode,
-    C: CoordinatorNode<Up = S::Up, Down = S::Down>,
-{
-    site.observe(e, now, up_buf);
-    pump_ups(site, coordinator, now, up_buf, down_buf, messages);
-}
-
-/// Settle pending up-messages (and every message they transitively
-/// trigger) between the fused halves — the `k = 1` specialization of the
-/// simulator's `settle` loop, with identical per-message accounting.
-fn pump_ups<S, C>(
-    site: &mut S,
-    coordinator: &mut C,
-    now: Slot,
-    up_buf: &mut Vec<S::Up>,
-    down_buf: &mut Vec<(Destination, C::Down)>,
-    messages: &mut u64,
-) where
-    S: SiteNode,
-    C: CoordinatorNode<Up = S::Up, Down = S::Down>,
-{
-    while let Some(up) = up_buf.pop() {
-        *messages += 1;
-        coordinator.handle(SiteId(0), up, now, down_buf);
-        while let Some((_, down)) = down_buf.pop() {
-            *messages += 1;
-            site.handle(down, now, up_buf);
-        }
-    }
-}
-
 impl DistinctSampler for CentralizedSampler {
     fn observe(&mut self, e: Element) {
         CentralizedSampler::observe(self, e);
@@ -235,8 +193,11 @@ impl DistinctSampler for CentralizedSampler {
         Some(CentralizedSampler::threshold(self))
     }
 
+    /// The bottom-`s` entries plus the exact distinct set the oracle
+    /// keeps beside them: O(distinct) tuples, all of them held in memory
+    /// and written into every checkpoint.
     fn memory_tuples(&self) -> usize {
-        self.bottom().len()
+        self.bottom().len() + self.distinct_seen() as usize
     }
 
     fn checkpoint(&self, out: &mut Vec<u8>) {
@@ -252,18 +213,24 @@ impl DistinctSampler for CentralizedSampler {
 /// The site filter still runs in front of the coordinator, so the hot
 /// path for an out-of-sample element is one hash + one compare — the same
 /// O(1) work a remote site would do — and `protocol_messages` reports the
-/// traffic a `k = 1` deployment would have put on the wire.
+/// traffic a `k = 1` deployment would have put on the wire. A threshold
+/// beat is a direct call, not a message pump: the site's up-message goes
+/// to [`LazyCoordinator::handle_hashed`] with the hash the site filtered
+/// on, and the reply (if the coordinator sends one) refreshes the site.
+/// That is one Up and at most one Down, counted exactly as the `k = 1`
+/// simulator counts them. The instance holds no buffers: its whole state
+/// is the two halves and the message counter, which keeps it small
+/// enough to live inline in a serving layer's tenant table.
 #[derive(Debug, Clone)]
 pub struct FusedInfinite {
     site: LazySite,
     coordinator: LazyCoordinator,
-    up_buf: Vec<UpElem>,
-    down_buf: Vec<(Destination, DownThreshold)>,
-    /// Batch-hash scratch, reused across `observe_batch` calls (transient;
-    /// not part of checkpoints).
-    hash_buf: Vec<u64>,
     messages: u64,
 }
+
+/// Elements hashed per stack chunk by the fused adapters' batch paths:
+/// 512 bytes of hashes, no allocation per call.
+const HASH_CHUNK: usize = 64;
 
 impl FusedInfinite {
     /// Build from the same config a distributed deployment would use.
@@ -272,9 +239,6 @@ impl FusedInfinite {
         Self {
             site: LazySite::new(config.hasher()),
             coordinator: config.coordinator(),
-            up_buf: Vec::new(),
-            down_buf: Vec::new(),
-            hash_buf: Vec::new(),
             messages: 0,
         }
     }
@@ -285,19 +249,21 @@ impl FusedInfinite {
         &self.coordinator
     }
 
-    /// Rebuild from a [`DistinctSampler::checkpoint`] payload. The
-    /// message pump buffers are transient (always drained between
-    /// observations) and are not part of the state.
+    /// Rebuild from a [`DistinctSampler::checkpoint`] payload.
     pub(crate) fn decode_state(r: &mut StateReader<'_>) -> Result<Self, CheckpointError> {
         let site = LazySite::decode_state(r)?;
         let coordinator = LazyCoordinator::decode_state(r)?;
+        // A threshold beat hands the coordinator the site's hash, so
+        // both halves must hash alike or `P` would be keyed two ways.
+        if site.hasher() != coordinator.hasher() {
+            return Err(CheckpointError::Corrupt(
+                "site and coordinator hash unlike each other",
+            ));
+        }
         let messages = r.get_u64()?;
         Ok(Self {
             site,
             coordinator,
-            up_buf: Vec::new(),
-            down_buf: Vec::new(),
-            hash_buf: Vec::new(),
             messages,
         })
     }
@@ -305,26 +271,19 @@ impl FusedInfinite {
 
 impl DistinctSampler for FusedInfinite {
     fn observe(&mut self, e: Element) {
-        pump_observe(
-            &mut self.site,
-            &mut self.coordinator,
-            e,
-            Slot(0),
-            &mut self.up_buf,
-            &mut self.down_buf,
-            &mut self.messages,
-        );
+        self.observe_hashed(e, self.site.hasher().hash_u64(e.0));
     }
 
     fn observe_batch(&mut self, batch: &[Element]) {
-        // Hash the whole batch in one pass, then run Algorithm 1's
-        // compare loop against the precomputed hashes.
-        let mut hashes = std::mem::take(&mut self.hash_buf);
-        self.site
-            .hasher()
-            .hash_u64_batch_into(batch.iter().map(|e| e.0), &mut hashes);
-        self.observe_batch_hashed(batch, &hashes);
-        self.hash_buf = hashes;
+        // Hash a chunk at a time into a stack buffer, then run
+        // Algorithm 1's compare loop against the precomputed hashes.
+        let hasher = *self.site.hasher();
+        let mut hashes = [0u64; HASH_CHUNK];
+        for chunk in batch.chunks(HASH_CHUNK) {
+            let hashes = &mut hashes[..chunk.len()];
+            hasher.hash_u64_batch_fill(chunk.iter().map(|e| e.0), hashes);
+            self.observe_batch_hashed(chunk, hashes);
+        }
     }
 
     fn hasher(&self) -> Option<SeededHash> {
@@ -333,17 +292,15 @@ impl DistinctSampler for FusedInfinite {
 
     #[inline]
     fn observe_hashed(&mut self, e: Element, h: u64) {
-        // Only threshold beats (rare after warm-up) touch the pump.
-        if let Some(up) = self.site.observe_hashed(e, UnitValue(h)) {
-            self.up_buf.push(up);
-            pump_ups(
-                &mut self.site,
-                &mut self.coordinator,
-                Slot(0),
-                &mut self.up_buf,
-                &mut self.down_buf,
-                &mut self.messages,
-            );
+        let h = UnitValue(h);
+        // Only threshold beats reach the coordinator: one Up, and the
+        // reply, if any, back to the site.
+        if let Some(up) = self.site.observe_hashed(e, h) {
+            self.messages += 1;
+            if let Some(down) = self.coordinator.handle_hashed(up.element, h) {
+                self.messages += 1;
+                self.site.refresh(down);
+            }
         }
     }
 
@@ -381,12 +338,12 @@ impl DistinctSampler for FusedInfinite {
 
 /// §3's with-replacement construction fused into one object: a single
 /// [`WrSite`] (s per-copy thresholds) wired to its [`WrCoordinator`].
+/// Each copy whose threshold an element beats is one direct Up and
+/// Down between the halves, with no buffers held.
 #[derive(Debug, Clone)]
 pub struct FusedWr {
     site: WrSite,
     coordinator: WrCoordinator,
-    up_buf: Vec<CopyUp<UpElem>>,
-    down_buf: Vec<(Destination, CopyDown<DownThreshold>)>,
     messages: u64,
 }
 
@@ -398,10 +355,19 @@ impl FusedWr {
         Self {
             site: WrSite::new(hashers.clone()),
             coordinator: WrCoordinator::new(hashers),
-            up_buf: Vec::new(),
-            down_buf: Vec::new(),
             messages: 0,
         }
+    }
+
+    /// One copy's threshold beat: the Up, and the reply back to the
+    /// site. Rare once the thresholds settle, so kept out of the
+    /// per-copy filter loop.
+    #[cold]
+    #[inline(never)]
+    fn beat(&mut self, up: CopyUp<UpElem>) {
+        let down = self.coordinator.answer(up);
+        self.site.refresh(down);
+        self.messages += 2;
     }
 
     /// Rebuild from a [`DistinctSampler::checkpoint`] payload.
@@ -412,8 +378,6 @@ impl FusedWr {
         Ok(Self {
             site,
             coordinator,
-            up_buf: Vec::new(),
-            down_buf: Vec::new(),
             messages,
         })
     }
@@ -421,15 +385,14 @@ impl FusedWr {
 
 impl DistinctSampler for FusedWr {
     fn observe(&mut self, e: Element) {
-        pump_observe(
-            &mut self.site,
-            &mut self.coordinator,
-            e,
-            Slot(0),
-            &mut self.up_buf,
-            &mut self.down_buf,
-            &mut self.messages,
-        );
+        // The copies are independent protocols, so settling each beat
+        // before filtering the next copy leaves every copy's state (and
+        // the message count) as the k = 1 simulator leaves it.
+        for j in 0..self.site.copy_count() {
+            if let Some(up) = self.site.observe_copy(j, e) {
+                self.beat(up);
+            }
+        }
     }
 
     fn sample(&self) -> Vec<Element> {
@@ -483,11 +446,6 @@ pub struct FusedSliding<T: CandidateSet = FlatStaircase> {
     site: SwSite<T>,
     coordinator: SwCoordinator,
     now: Slot,
-    up_buf: Vec<SwUp>,
-    down_buf: Vec<(Destination, SwDown)>,
-    /// Batch-hash scratch, reused across `observe_batch` calls (transient;
-    /// not part of checkpoints).
-    hash_buf: Vec<u64>,
     messages: u64,
 }
 
@@ -500,9 +458,6 @@ impl<T: CandidateSet + Default> FusedSliding<T> {
             site: SwSite::new(config.window, config.hasher()),
             coordinator: SwCoordinator::new(config.hasher(), 1, config.mode),
             now: Slot(0),
-            up_buf: Vec::new(),
-            down_buf: Vec::new(),
-            hash_buf: Vec::new(),
             messages: 0,
         }
     }
@@ -530,39 +485,25 @@ impl<T: CandidateSet + Default> FusedSliding<T> {
             site,
             coordinator,
             now,
-            up_buf: Vec::new(),
-            down_buf: Vec::new(),
-            hash_buf: Vec::new(),
             messages,
         })
     }
 
-    /// One slot boundary, in the simulator's order: coordinator hook,
-    /// deliver its output, site hook, settle.
+    /// One slot boundary, in the simulator's order: the coordinator's
+    /// hook (which never speaks), then the site's, whose fallback
+    /// announcement, if any, is one direct Up and Down. Kept out of
+    /// line: a serving layer calls `advance` from its per-element loop,
+    /// where inlining this slot step made that loop slower (measured on
+    /// a shard worker generic over the sampler type).
+    #[inline(never)]
     fn step_slot(&mut self) {
         self.now = self.now.next();
-        self.coordinator.on_slot_start(self.now, &mut self.down_buf);
-        while let Some((_, down)) = self.down_buf.pop() {
-            self.messages += 1;
-            self.site.handle(down, self.now, &mut self.up_buf);
+        self.coordinator.slot_start(self.now);
+        if let Some(up) = self.site.slot_start(self.now) {
+            let down = self.coordinator.answer(SiteId(0), up, self.now);
+            self.site.adopt(down);
+            self.messages += 2;
         }
-        pump_ups(
-            &mut self.site,
-            &mut self.coordinator,
-            self.now,
-            &mut self.up_buf,
-            &mut self.down_buf,
-            &mut self.messages,
-        );
-        self.site.on_slot_start(self.now, &mut self.up_buf);
-        pump_ups(
-            &mut self.site,
-            &mut self.coordinator,
-            self.now,
-            &mut self.up_buf,
-            &mut self.down_buf,
-            &mut self.messages,
-        );
     }
 }
 
@@ -572,26 +513,19 @@ impl<T: CandidateSet + Default + Send> DistinctSampler for FusedSliding<T> {
     }
 
     fn observe(&mut self, e: Element) {
-        pump_observe(
-            &mut self.site,
-            &mut self.coordinator,
-            e,
-            self.now,
-            &mut self.up_buf,
-            &mut self.down_buf,
-            &mut self.messages,
-        );
+        self.observe_hashed(e, self.site.hasher().hash_u64(e.0));
     }
 
     fn observe_batch(&mut self, batch: &[Element]) {
-        // One hash pass over the whole batch, then Algorithm 3's
-        // insert-and-compare loop against the precomputed hashes.
-        let mut hashes = std::mem::take(&mut self.hash_buf);
-        self.site
-            .hasher()
-            .hash_u64_batch_into(batch.iter().map(|e| e.0), &mut hashes);
-        self.observe_batch_hashed(batch, &hashes);
-        self.hash_buf = hashes;
+        // Hash a chunk at a time into a stack buffer, then run
+        // Algorithm 3's insert-and-compare loop against the hashes.
+        let hasher = *self.site.hasher();
+        let mut hashes = [0u64; HASH_CHUNK];
+        for chunk in batch.chunks(HASH_CHUNK) {
+            let hashes = &mut hashes[..chunk.len()];
+            hasher.hash_u64_batch_fill(chunk.iter().map(|e| e.0), hashes);
+            self.observe_batch_hashed(chunk, hashes);
+        }
     }
 
     fn hasher(&self) -> Option<SeededHash> {
@@ -600,18 +534,13 @@ impl<T: CandidateSet + Default + Send> DistinctSampler for FusedSliding<T> {
 
     #[inline]
     fn observe_hashed(&mut self, e: Element, h: u64) {
-        // Each observation yields at most one up-message, so the pump
-        // runs only on threshold beats.
+        // Each observation yields at most one up-message, answered by
+        // exactly one reply that produces none: a beat is one direct
+        // Up and Down between the halves.
         if let Some(up) = self.site.observe_hashed(e, UnitValue(h), self.now) {
-            self.up_buf.push(up);
-            pump_ups(
-                &mut self.site,
-                &mut self.coordinator,
-                self.now,
-                &mut self.up_buf,
-                &mut self.down_buf,
-                &mut self.messages,
-            );
+            let down = self.coordinator.answer(SiteId(0), up, self.now);
+            self.site.adopt(down);
+            self.messages += 2;
         }
     }
 
@@ -630,8 +559,7 @@ impl<T: CandidateSet + Default + Send> DistinctSampler for FusedSliding<T> {
                 // and dead-state bookkeeping (fallback-to-none, registry
                 // cleanup) land exactly where stepping would leave them.
                 self.now = now;
-                self.coordinator.on_slot_start(self.now, &mut self.down_buf);
-                debug_assert!(self.down_buf.is_empty(), "inert coordinator spoke");
+                self.coordinator.slot_start(self.now);
                 return;
             }
             self.step_slot();
@@ -678,11 +606,6 @@ pub struct FusedSlidingMulti<T: CandidateSet = FlatStaircase> {
     site: MultiSwSite<T>,
     coordinator: MultiSwCoordinator,
     now: Slot,
-    up_buf: Vec<CopyUp<SwUp>>,
-    down_buf: Vec<(Destination, CopyDown<SwDown>)>,
-    /// Batch-hash scratch, reused across `observe_batch` calls (transient;
-    /// not part of checkpoints).
-    hash_buf: Vec<u64>,
     messages: u64,
 }
 
@@ -694,9 +617,6 @@ impl<T: CandidateSet + Default> FusedSlidingMulti<T> {
             site: MultiSwSite::new(config.window, config.hashers()),
             coordinator: MultiSwCoordinator::new(config.hashers(), 1, config.mode),
             now: Slot(0),
-            up_buf: Vec::new(),
-            down_buf: Vec::new(),
-            hash_buf: Vec::new(),
             messages: 0,
         }
     }
@@ -717,37 +637,23 @@ impl<T: CandidateSet + Default> FusedSlidingMulti<T> {
             site,
             coordinator,
             now,
-            up_buf: Vec::new(),
-            down_buf: Vec::new(),
-            hash_buf: Vec::new(),
             messages,
         })
     }
 
+    /// [`FusedSliding`]'s slot step for all copies; out of line for
+    /// the same reason.
+    #[inline(never)]
     fn step_slot(&mut self) {
         self.now = self.now.next();
-        self.coordinator.on_slot_start(self.now, &mut self.down_buf);
-        while let Some((_, down)) = self.down_buf.pop() {
-            self.messages += 1;
-            self.site.handle(down, self.now, &mut self.up_buf);
+        self.coordinator.slot_start(self.now);
+        for j in 0..self.site.copy_count() {
+            if let Some(up) = self.site.slot_start_copy(j, self.now) {
+                let down = self.coordinator.answer(SiteId(0), up, self.now);
+                self.site.adopt(down);
+                self.messages += 2;
+            }
         }
-        pump_ups(
-            &mut self.site,
-            &mut self.coordinator,
-            self.now,
-            &mut self.up_buf,
-            &mut self.down_buf,
-            &mut self.messages,
-        );
-        self.site.on_slot_start(self.now, &mut self.up_buf);
-        pump_ups(
-            &mut self.site,
-            &mut self.coordinator,
-            self.now,
-            &mut self.up_buf,
-            &mut self.down_buf,
-            &mut self.messages,
-        );
     }
 }
 
@@ -757,54 +663,39 @@ impl<T: CandidateSet + Default + Send> DistinctSampler for FusedSlidingMulti<T> 
     }
 
     fn observe(&mut self, e: Element) {
-        pump_observe(
-            &mut self.site,
-            &mut self.coordinator,
-            e,
-            self.now,
-            &mut self.up_buf,
-            &mut self.down_buf,
-            &mut self.messages,
-        );
+        self.observe_batch(std::slice::from_ref(&e));
     }
 
     fn observe_batch(&mut self, batch: &[Element]) {
-        // Copy-major: hash the whole batch once per copy hash function,
-        // then run each copy's insert-and-compare loop. The copies are
-        // fully independent protocols (coordinator copy j handles only
-        // copy-j traffic), so reordering elements *across* copies — while
-        // preserving order within each copy — leaves every copy's final
-        // state, sample, and message count identical to element-major
-        // observation; the twin tests pin this.
-        let mut hashes = std::mem::take(&mut self.hash_buf);
-        for j in 0..self.site.copy_count() {
-            self.site.hash_batch_for_copy(j, batch, &mut hashes);
-            for (i, &e) in batch.iter().enumerate() {
-                if let Some(up) =
-                    self.site
-                        .observe_hashed_copy(j, e, UnitValue(hashes[i]), self.now)
-                {
-                    self.up_buf.push(up);
-                    pump_ups(
-                        &mut self.site,
-                        &mut self.coordinator,
-                        self.now,
-                        &mut self.up_buf,
-                        &mut self.down_buf,
-                        &mut self.messages,
-                    );
+        // Copy-major within each stack chunk: hash the chunk once per
+        // copy hash function, then run that copy's insert-and-compare
+        // loop. The copies are fully independent protocols (coordinator
+        // copy j handles only copy-j traffic), so reordering elements
+        // *across* copies — while preserving order within each copy —
+        // leaves every copy's final state, sample, and message count
+        // identical to element-major observation; the twin tests pin
+        // this.
+        let mut hashes = [0u64; HASH_CHUNK];
+        for chunk in batch.chunks(HASH_CHUNK) {
+            let hashes = &mut hashes[..chunk.len()];
+            for j in 0..self.site.copy_count() {
+                self.site.hash_chunk_for_copy(j, chunk, hashes);
+                for (&e, &h) in chunk.iter().zip(hashes.iter()) {
+                    if let Some(up) = self.site.observe_hashed_copy(j, e, UnitValue(h), self.now) {
+                        let down = self.coordinator.answer(SiteId(0), up, self.now);
+                        self.site.adopt(down);
+                        self.messages += 2;
+                    }
                 }
             }
         }
-        self.hash_buf = hashes;
     }
 
     fn advance(&mut self, now: Slot) {
         while self.now < now {
             if self.site.is_quiescent() && self.coordinator.is_inert_at(self.now) {
                 self.now = now;
-                self.coordinator.on_slot_start(self.now, &mut self.down_buf);
-                debug_assert!(self.down_buf.is_empty(), "inert coordinator spoke");
+                self.coordinator.slot_start(self.now);
                 return;
             }
             self.step_slot();
@@ -837,6 +728,110 @@ impl<T: CandidateSet + Default + Send> DistinctSampler for FusedSlidingMulti<T> 
     }
 }
 
+/// A concrete sampler type that one [`SamplerKind`] builds: the type
+/// behind [`SamplerSpec::build`]'s box, for serving layers that hold
+/// their instances unboxed (one generic table per kind, reached through
+/// [`SamplerKind::with_type`]) and restore checkpoints straight into
+/// that type with [`crate::checkpoint::restore_as`].
+pub trait SpecSampler: DistinctSampler + Sized + 'static {
+    /// The envelope kind tag (`checkpoint::kind::*`) this type writes.
+    const KIND_TAG: u8;
+
+    /// The instance `spec` describes — the value [`SamplerSpec::build`]
+    /// boxes.
+    ///
+    /// # Panics
+    /// Panics if `spec.kind` builds another type.
+    fn from_spec(spec: &SamplerSpec) -> Self;
+
+    /// Rebuild from the payload of an envelope tagged
+    /// [`SpecSampler::KIND_TAG`] (the envelope already checked).
+    ///
+    /// # Errors
+    /// A [`CheckpointError`] on malformed payloads; never panics.
+    fn decode_payload(r: &mut StateReader<'_>) -> Result<Self, CheckpointError>;
+}
+
+impl SpecSampler for CentralizedSampler {
+    const KIND_TAG: u8 = checkpoint::kind::CENTRALIZED;
+
+    fn from_spec(spec: &SamplerSpec) -> Self {
+        assert_eq!(
+            spec.kind,
+            SamplerKind::Centralized,
+            "spec builds another type"
+        );
+        CentralizedSampler::new(spec.s, spec.hasher())
+    }
+
+    fn decode_payload(r: &mut StateReader<'_>) -> Result<Self, CheckpointError> {
+        CentralizedSampler::decode_state(r)
+    }
+}
+
+impl SpecSampler for FusedInfinite {
+    const KIND_TAG: u8 = checkpoint::kind::INFINITE;
+
+    fn from_spec(spec: &SamplerSpec) -> Self {
+        assert_eq!(spec.kind, SamplerKind::Infinite, "spec builds another type");
+        FusedInfinite::new(&InfiniteConfig {
+            s: spec.s,
+            family: spec.family(),
+        })
+    }
+
+    fn decode_payload(r: &mut StateReader<'_>) -> Result<Self, CheckpointError> {
+        FusedInfinite::decode_state(r)
+    }
+}
+
+impl SpecSampler for FusedWr {
+    const KIND_TAG: u8 = checkpoint::kind::WITH_REPLACEMENT;
+
+    fn from_spec(spec: &SamplerSpec) -> Self {
+        assert_eq!(
+            spec.kind,
+            SamplerKind::WithReplacement,
+            "spec builds another type"
+        );
+        FusedWr::new(spec.s, spec.family())
+    }
+
+    fn decode_payload(r: &mut StateReader<'_>) -> Result<Self, CheckpointError> {
+        FusedWr::decode_state(r)
+    }
+}
+
+impl<T: CandidateSet + Default + Send + 'static> SpecSampler for FusedSliding<T> {
+    const KIND_TAG: u8 = checkpoint::kind::SLIDING;
+
+    fn from_spec(spec: &SamplerSpec) -> Self {
+        let SamplerKind::Sliding { window } = spec.kind else {
+            panic!("spec builds another type");
+        };
+        FusedSliding::new(&SlidingConfig::with_seed(window, spec.seed))
+    }
+
+    fn decode_payload(r: &mut StateReader<'_>) -> Result<Self, CheckpointError> {
+        FusedSliding::decode_state(r)
+    }
+}
+
+impl<T: CandidateSet + Default + Send + 'static> SpecSampler for FusedSlidingMulti<T> {
+    const KIND_TAG: u8 = checkpoint::kind::SLIDING_MULTI;
+
+    fn from_spec(spec: &SamplerSpec) -> Self {
+        let SamplerKind::SlidingMulti { window } = spec.kind else {
+            panic!("spec builds another type");
+        };
+        FusedSlidingMulti::new(&MultiSlidingConfig::with_seed(spec.s, window, spec.seed))
+    }
+
+    fn decode_payload(r: &mut StateReader<'_>) -> Result<Self, CheckpointError> {
+        FusedSlidingMulti::decode_state(r)
+    }
+}
+
 /// Which protocol backs an instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SamplerKind {
@@ -862,6 +857,16 @@ pub enum SamplerKind {
     },
 }
 
+/// Code generic over a kind's concrete sampler type: what
+/// [`SamplerKind::with_type`] runs.
+pub trait KindVisitor {
+    /// What the visit answers.
+    type Output;
+
+    /// Run with `S`, the concrete type of the visited kind.
+    fn visit<S: SpecSampler>(self) -> Self::Output;
+}
+
 impl SamplerKind {
     /// The window length for window-bounded kinds (`None` for the
     /// infinite-window protocols).
@@ -870,6 +875,21 @@ impl SamplerKind {
         match *self {
             SamplerKind::Sliding { window } | SamplerKind::SlidingMulti { window } => Some(window),
             _ => None,
+        }
+    }
+
+    /// Run `visitor` with the concrete [`SpecSampler`] type this kind
+    /// builds. This is the one mapping from kinds to types:
+    /// [`SamplerSpec::build`], [`crate::checkpoint::restore_sampler`]
+    /// and serving layers that hold instances unboxed all go through
+    /// it.
+    pub fn with_type<V: KindVisitor>(self, visitor: V) -> V::Output {
+        match self {
+            SamplerKind::Centralized => visitor.visit::<CentralizedSampler>(),
+            SamplerKind::Infinite => visitor.visit::<FusedInfinite>(),
+            SamplerKind::WithReplacement => visitor.visit::<FusedWr>(),
+            SamplerKind::Sliding { .. } => visitor.visit::<FusedSliding<FlatStaircase>>(),
+            SamplerKind::SlidingMulti { .. } => visitor.visit::<FusedSlidingMulti<FlatStaircase>>(),
         }
     }
 }
@@ -931,25 +951,18 @@ impl SamplerSpec {
         self.family().primary()
     }
 
-    /// Build one sampler instance behind the unified interface.
+    /// Build one sampler instance behind the unified interface: the
+    /// concrete [`SpecSampler`] type of `self.kind`, boxed.
     #[must_use]
     pub fn build(&self) -> Box<dyn DistinctSampler> {
-        match self.kind {
-            SamplerKind::Centralized => Box::new(CentralizedSampler::new(self.s, self.hasher())),
-            SamplerKind::Infinite => Box::new(FusedInfinite::new(&InfiniteConfig {
-                s: self.s,
-                family: self.family(),
-            })),
-            SamplerKind::WithReplacement => Box::new(FusedWr::new(self.s, self.family())),
-            SamplerKind::Sliding { window } => Box::new(FusedSliding::<FlatStaircase>::new(
-                &SlidingConfig::with_seed(window, self.seed),
-            )),
-            SamplerKind::SlidingMulti { window } => {
-                Box::new(FusedSlidingMulti::<FlatStaircase>::new(
-                    &MultiSlidingConfig::with_seed(self.s, window, self.seed),
-                ))
+        struct Build<'a>(&'a SamplerSpec);
+        impl KindVisitor for Build<'_> {
+            type Output = Box<dyn DistinctSampler>;
+            fn visit<S: SpecSampler>(self) -> Self::Output {
+                Box::new(S::from_spec(self.0))
             }
         }
+        self.kind.with_type(Build(self))
     }
 
     /// The exact-oracle twin of this spec: a [`CentralizedSampler`] over
@@ -1016,6 +1029,184 @@ mod tests {
             "fused adapter and k=1 simulator disagree on message count"
         );
         assert!(fused.protocol_messages() > 0);
+    }
+
+    /// The direct site → coordinator step against the `k = 1`
+    /// simulator, under both reply policies and through every entry
+    /// point: `observe`, `observe_batch` (batches longer than one hash
+    /// chunk), and a checkpoint restored mid-stream. Messages and
+    /// samples must agree after every batch.
+    #[test]
+    fn fused_infinite_direct_step_matches_k1_cluster_under_both_reply_policies() {
+        let config = InfiniteConfig::with_seed(6, 4242);
+        for reply_on_change in [false, true] {
+            let (mut fused, mut sim) = if reply_on_change {
+                let fused = FusedInfinite {
+                    coordinator: config.coordinator().reply_only_on_change(),
+                    ..FusedInfinite::new(&config)
+                };
+                (fused, config.cluster_reply_on_change(1))
+            } else {
+                (FusedInfinite::new(&config), config.cluster(1))
+            };
+            let elems: Vec<Element> = stream(6_000, 1_500).collect();
+            for (i, batch) in elems.chunks(150).enumerate() {
+                if i % 2 == 0 {
+                    fused.observe_batch(batch);
+                } else {
+                    for &e in batch {
+                        DistinctSampler::observe(&mut fused, e);
+                    }
+                }
+                for &e in batch {
+                    sim.observe(SiteId(0), e);
+                }
+                assert_eq!(fused.sample(), sim.sample(), "batch {i}");
+                assert_eq!(
+                    fused.protocol_messages(),
+                    sim.counters().total_messages(),
+                    "reply_on_change={reply_on_change}: messages diverged at batch {i}"
+                );
+                if i == 20 {
+                    let mut blob = Vec::new();
+                    fused.checkpoint(&mut blob);
+                    fused = checkpoint::restore_as(&blob).expect("own checkpoint restores");
+                }
+            }
+            assert!(fused.protocol_messages() > 0);
+            assert_eq!(fused.threshold(), Some(sim.coordinator().threshold()));
+        }
+    }
+
+    /// The stack-chunked batch paths against the per-element loop, for
+    /// every kind, with batches on both sides of a chunk boundary.
+    #[test]
+    fn batch_paths_match_the_per_element_loop_across_hash_chunks() {
+        for kind in [
+            SamplerKind::Centralized,
+            SamplerKind::Infinite,
+            SamplerKind::WithReplacement,
+            SamplerKind::Sliding { window: 5 },
+            SamplerKind::SlidingMulti { window: 5 },
+        ] {
+            let s = if matches!(kind, SamplerKind::Sliding { .. }) {
+                1
+            } else {
+                3
+            };
+            let spec = SamplerSpec::new(kind, s, 808);
+            let (mut batched, mut looped) = (spec.build(), spec.build());
+            let mut elems = stream(10_000, 2_000);
+            let sizes = [
+                0,
+                1,
+                HASH_CHUNK - 1,
+                HASH_CHUNK,
+                HASH_CHUNK + 1,
+                3 * HASH_CHUNK + 7,
+            ];
+            for (slot, &n) in sizes.iter().cycle().take(30).enumerate() {
+                let now = Slot(slot as u64);
+                let batch: Vec<Element> = elems.by_ref().take(n).collect();
+                batched.observe_batch_at(now, &batch);
+                looped.advance(now);
+                for &e in &batch {
+                    looped.observe(e);
+                }
+                assert_eq!(batched.sample(), looped.sample(), "{kind:?} slot {slot}");
+                assert_eq!(batched.memory_tuples(), looped.memory_tuples());
+                assert_eq!(batched.protocol_messages(), looped.protocol_messages());
+            }
+        }
+    }
+
+    #[test]
+    fn centralized_memory_counts_its_distinct_set() {
+        let spec = SamplerSpec::new(SamplerKind::Centralized, 4, 17);
+        let mut c = CentralizedSampler::from_spec(&spec);
+        for i in 0..1_000u64 {
+            // Each of 250 distinct elements four times.
+            DistinctSampler::observe(&mut c, Element(i % 250));
+        }
+        // The bottom-4 plus the 250-element set held beside it (and
+        // written into every checkpoint).
+        assert_eq!(DistinctSampler::memory_tuples(&c), 4 + 250);
+        let mut blob = Vec::new();
+        c.checkpoint(&mut blob);
+        let back: CentralizedSampler = checkpoint::restore_as(&blob).expect("restores");
+        assert_eq!(DistinctSampler::memory_tuples(&back), 4 + 250);
+    }
+
+    #[test]
+    fn restore_as_refuses_another_kind() {
+        let mut blob = Vec::new();
+        SamplerSpec::new(SamplerKind::Infinite, 3, 1)
+            .build()
+            .checkpoint(&mut blob);
+        assert!(checkpoint::restore_as::<FusedInfinite>(&blob).is_ok());
+        assert_eq!(
+            checkpoint::restore_as::<CentralizedSampler>(&blob).err(),
+            Some(CheckpointError::Corrupt(
+                "sampler kind unlike the expected type"
+            ))
+        );
+    }
+
+    /// The direct step keys `P` by the site's hash, so a payload whose
+    /// two halves hash differently (a valid envelope around crafted
+    /// state) must not restore.
+    #[test]
+    fn fused_infinite_with_unlike_site_and_coordinator_hashes_is_refused() {
+        let config = InfiniteConfig::with_seed(4, 5);
+        let crafted = FusedInfinite {
+            site: LazySite::new(InfiniteConfig::with_seed(4, 6).hasher()),
+            ..FusedInfinite::new(&config)
+        };
+        let mut blob = Vec::new();
+        crafted.checkpoint(&mut blob);
+        let refused = || CheckpointError::Corrupt("site and coordinator hash unlike each other");
+        assert_eq!(
+            checkpoint::restore_as::<FusedInfinite>(&blob).err(),
+            Some(refused())
+        );
+        assert_eq!(checkpoint::restore_sampler(&blob).err(), Some(refused()));
+    }
+
+    /// `SamplerKind::with_type` picks, for every kind, the type whose
+    /// `KIND_TAG` is the tag a built instance writes: the tag `restore_as`
+    /// checks and `restore_sampler` maps back.
+    #[test]
+    fn every_kind_visits_the_type_that_writes_its_tag() {
+        struct Tag;
+        impl KindVisitor for Tag {
+            type Output = u8;
+            fn visit<S: SpecSampler>(self) -> u8 {
+                S::KIND_TAG
+            }
+        }
+        let mut tags = Vec::new();
+        for kind in [
+            SamplerKind::Centralized,
+            SamplerKind::Infinite,
+            SamplerKind::WithReplacement,
+            SamplerKind::Sliding { window: 3 },
+            SamplerKind::SlidingMulti { window: 3 },
+        ] {
+            let s = if matches!(kind, SamplerKind::Sliding { .. }) {
+                1
+            } else {
+                2
+            };
+            let mut blob = Vec::new();
+            SamplerSpec::new(kind, s, 9).build().checkpoint(&mut blob);
+            let (written, _) = checkpoint::read_envelope(&blob).expect("valid envelope");
+            assert_eq!(kind.with_type(Tag), written, "{kind:?}");
+            assert!(checkpoint::restore_sampler(&blob).is_ok(), "{kind:?}");
+            tags.push(written);
+        }
+        tags.sort_unstable();
+        tags.dedup();
+        assert_eq!(tags.len(), 5, "each kind has its own type");
     }
 
     #[test]

@@ -233,6 +233,48 @@ impl<T: CandidateSet + Default> SwSite<T> {
         (h < self.threshold()).then_some(SwUp { element: e, expiry })
     }
 
+    /// Algorithm 3's reply step (lines 17–19): adopt the coordinator's
+    /// sample and remember the tuple as a candidate too. A reply never
+    /// produces an up-message.
+    pub(crate) fn adopt(&mut self, msg: SwDown) {
+        let h = self.hasher.unit(msg.element.0);
+        self.view = Some(SampleTuple {
+            element: msg.element,
+            hash: h,
+            expiry: msg.expiry,
+        });
+        self.candidates
+            .insert_or_refresh(msg.element, h.0, msg.expiry);
+    }
+
+    /// Algorithm 3's slot boundary: purge expired candidates (line 10
+    /// / 22) and, when the sample view has expired, fall back to the
+    /// local minimum (lines 21–25). Returns the fallback's announcement,
+    /// if any; at most one per boundary.
+    pub(crate) fn slot_start(&mut self, now: Slot) -> Option<SwUp> {
+        self.candidates.expire(now);
+        if !self.view.is_some_and(|v| is_expired(v.expiry, now)) {
+            return None;
+        }
+        match self.candidates.min_entry() {
+            Some(m) => {
+                self.view = Some(SampleTuple {
+                    element: m.element,
+                    hash: UnitValue(m.hash),
+                    expiry: m.expiry,
+                });
+                Some(SwUp {
+                    element: m.element,
+                    expiry: m.expiry,
+                })
+            }
+            None => {
+                self.view = None;
+                None
+            }
+        }
+    }
+
     /// The candidate set `Tᵢ` (for memory probes and tests).
     #[must_use]
     pub fn candidates(&self) -> &T {
@@ -312,42 +354,11 @@ impl<T: CandidateSet + Default> SiteNode for SwSite<T> {
     }
 
     fn handle(&mut self, msg: SwDown, _now: Slot, _out: &mut Vec<SwUp>) {
-        let h = self.hasher.unit(msg.element.0);
-        // Lines 17–19: adopt the coordinator's sample and remember the
-        // tuple as a candidate too.
-        self.view = Some(SampleTuple {
-            element: msg.element,
-            hash: h,
-            expiry: msg.expiry,
-        });
-        self.candidates
-            .insert_or_refresh(msg.element, h.0, msg.expiry);
+        self.adopt(msg);
     }
 
     fn on_slot_start(&mut self, now: Slot, out: &mut Vec<SwUp>) {
-        // Line 10 / 22: purge expired candidates.
-        self.candidates.expire(now);
-        // Lines 21–25: when the sample view expires, fall back to the
-        // local minimum and announce it (or to "no sample" if the local
-        // window is empty).
-        if let Some(view) = self.view {
-            if is_expired(view.expiry, now) {
-                match self.candidates.min_entry() {
-                    Some(m) => {
-                        self.view = Some(SampleTuple {
-                            element: m.element,
-                            hash: UnitValue(m.hash),
-                            expiry: m.expiry,
-                        });
-                        out.push(SwUp {
-                            element: m.element,
-                            expiry: m.expiry,
-                        });
-                    }
-                    None => self.view = None,
-                }
-            }
-        }
+        out.extend(self.slot_start(now));
     }
 
     fn memory_tuples(&self) -> usize {
@@ -383,6 +394,62 @@ impl SwCoordinator {
     #[must_use]
     pub fn current(&self) -> Option<SampleTuple> {
         self.sample.filter(|t| !is_expired(t.expiry, self.now))
+    }
+
+    /// Algorithm 4 for one announcement from site `from`: update the
+    /// sample, then answer the reply, which goes to the sender always.
+    pub(crate) fn answer(&mut self, from: SiteId, msg: SwUp, now: Slot) -> SwDown {
+        self.now = self.now.max(now);
+        let h = self.hasher.unit(msg.element.0);
+        let incoming = SampleTuple {
+            element: msg.element,
+            hash: h,
+            expiry: msg.expiry,
+        };
+        if self.mode == CoordinatorMode::Registry {
+            self.registry[from.0] = Some(incoming);
+        }
+        // Algorithm 4 line 3: (u* > h(e')) or (t* < t) — plus the refresh
+        // case e' == e* with a later expiry, which re-announcement of the
+        // same element after a fallback makes routine.
+        let replace = match self.sample {
+            None => true,
+            Some(cur) => {
+                cur.hash > h
+                    || is_expired(cur.expiry, self.now)
+                    || (cur.element == incoming.element && incoming.expiry > cur.expiry)
+            }
+        };
+        if replace {
+            self.sample = Some(incoming);
+        }
+        let reply = self.sample.expect("sample set on this path");
+        SwDown {
+            element: reply.element,
+            expiry: reply.expiry,
+        }
+    }
+
+    /// Algorithm 4's slot boundary: in registry mode, fall back when
+    /// the sample expires and drop expired announcements. It never
+    /// sends a message.
+    pub(crate) fn slot_start(&mut self, now: Slot) {
+        self.now = self.now.max(now);
+        if self.mode == CoordinatorMode::Registry {
+            if let Some(cur) = self.sample {
+                if is_expired(cur.expiry, now) {
+                    self.registry_fallback();
+                }
+            }
+            // Expired remembered announcements can never win a fallback;
+            // dropping them keeps `memory_tuples` equal to *live* state,
+            // so a drained coordinator reports zero.
+            for slot_entry in &mut self.registry {
+                if slot_entry.is_some_and(|t| is_expired(t.expiry, self.now)) {
+                    *slot_entry = None;
+                }
+            }
+        }
     }
 
     /// Re-derive the sample from the live registry minimum.
@@ -462,57 +529,12 @@ impl CoordinatorNode for SwCoordinator {
     type Down = SwDown;
 
     fn handle(&mut self, from: SiteId, msg: SwUp, now: Slot, out: &mut Vec<(Destination, SwDown)>) {
-        self.now = self.now.max(now);
-        let h = self.hasher.unit(msg.element.0);
-        let incoming = SampleTuple {
-            element: msg.element,
-            hash: h,
-            expiry: msg.expiry,
-        };
-        if self.mode == CoordinatorMode::Registry {
-            self.registry[from.0] = Some(incoming);
-        }
-        // Algorithm 4 line 3: (u* > h(e')) or (t* < t) — plus the refresh
-        // case e' == e* with a later expiry, which re-announcement of the
-        // same element after a fallback makes routine.
-        let replace = match self.sample {
-            None => true,
-            Some(cur) => {
-                cur.hash > h
-                    || is_expired(cur.expiry, self.now)
-                    || (cur.element == incoming.element && incoming.expiry > cur.expiry)
-            }
-        };
-        if replace {
-            self.sample = Some(incoming);
-        }
-        let reply = self.sample.expect("sample set on this path");
-        out.push((
-            Destination::Site(from),
-            SwDown {
-                element: reply.element,
-                expiry: reply.expiry,
-            },
-        ));
+        let reply = self.answer(from, msg, now);
+        out.push((Destination::Site(from), reply));
     }
 
     fn on_slot_start(&mut self, now: Slot, _out: &mut Vec<(Destination, SwDown)>) {
-        self.now = self.now.max(now);
-        if self.mode == CoordinatorMode::Registry {
-            if let Some(cur) = self.sample {
-                if is_expired(cur.expiry, now) {
-                    self.registry_fallback();
-                }
-            }
-            // Expired remembered announcements can never win a fallback;
-            // dropping them keeps `memory_tuples` equal to *live* state,
-            // so a drained coordinator reports zero.
-            for slot_entry in &mut self.registry {
-                if slot_entry.is_some_and(|t| is_expired(t.expiry, self.now)) {
-                    *slot_entry = None;
-                }
-            }
-        }
+        self.slot_start(now);
     }
 
     fn sample(&self) -> Vec<Element> {

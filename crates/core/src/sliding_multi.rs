@@ -104,12 +104,12 @@ impl<T: CandidateSet + Default> MultiSwSite<T> {
         self.copies.len()
     }
 
-    /// Hash a whole batch under copy `j`'s hash function into `out`
-    /// (cleared first) — one algorithm dispatch per (copy, batch).
-    pub(crate) fn hash_batch_for_copy(&self, j: usize, batch: &[Element], out: &mut Vec<u64>) {
+    /// Hash a chunk under copy `j`'s hash function into `out`, one
+    /// hash per element — one algorithm dispatch per (copy, chunk).
+    pub(crate) fn hash_chunk_for_copy(&self, j: usize, chunk: &[Element], out: &mut [u64]) {
         self.copies[j]
             .hasher()
-            .hash_u64_batch_into(batch.iter().map(|e| e.0), out);
+            .hash_u64_batch_fill(chunk.iter().map(|e| e.0), out);
     }
 
     /// Copy `j`'s observation step with a caller-supplied hash — the
@@ -125,6 +125,21 @@ impl<T: CandidateSet + Default> MultiSwSite<T> {
             copy: j as u32,
             inner: m,
         })
+    }
+
+    /// Copy `j`'s slot boundary ([`SwSite::slot_start`]): the
+    /// copy-tagged fallback announcement, if any.
+    pub(crate) fn slot_start_copy(&mut self, j: usize, now: Slot) -> Option<CopyUp<SwUp>> {
+        self.copies[j].slot_start(now).map(|m| CopyUp {
+            copy: j as u32,
+            inner: m,
+        })
+    }
+
+    /// Copy `j`'s reply step ([`SwSite::adopt`]); never produces an
+    /// up-message.
+    pub(crate) fn adopt(&mut self, msg: CopyDown<SwDown>) {
+        self.copies[msg.copy as usize].adopt(msg.inner);
     }
 
     /// Checkpoint encoding: the `s` per-copy site states.
@@ -165,19 +180,12 @@ impl<T: CandidateSet + Default> SiteNode for MultiSwSite<T> {
         }
     }
 
-    fn handle(&mut self, msg: Self::Down, now: Slot, out: &mut Vec<Self::Up>) {
-        let j = msg.copy as usize;
-        let mut inner = Vec::new();
-        self.copies[j].handle(msg.inner, now, &mut inner);
-        Self::fan_out(j, inner, out);
+    fn handle(&mut self, msg: Self::Down, _now: Slot, _out: &mut Vec<Self::Up>) {
+        self.adopt(msg);
     }
 
     fn on_slot_start(&mut self, now: Slot, out: &mut Vec<Self::Up>) {
-        let mut inner = Vec::new();
-        for (j, site) in self.copies.iter_mut().enumerate() {
-            site.on_slot_start(now, &mut inner);
-            Self::fan_out(j, std::mem::take(&mut inner), out);
-        }
+        out.extend((0..self.copies.len()).filter_map(|j| self.slot_start_copy(j, now)));
     }
 
     fn memory_tuples(&self) -> usize {
@@ -219,6 +227,28 @@ impl MultiSwCoordinator {
         self.copies.iter().all(|c| c.is_inert_at(now))
     }
 
+    /// Every copy's slot boundary ([`SwCoordinator::slot_start`]); it
+    /// never sends a message.
+    pub(crate) fn slot_start(&mut self, now: Slot) {
+        for c in &mut self.copies {
+            c.slot_start(now);
+        }
+    }
+
+    /// Copy `j`'s Algorithm 4 step ([`SwCoordinator::answer`]): the
+    /// copy-tagged reply to the sender.
+    pub(crate) fn answer(
+        &mut self,
+        from: SiteId,
+        msg: CopyUp<SwUp>,
+        now: Slot,
+    ) -> CopyDown<SwDown> {
+        CopyDown {
+            copy: msg.copy,
+            inner: self.copies[msg.copy as usize].answer(from, msg.inner, now),
+        }
+    }
+
     /// Checkpoint encoding: the `s` per-copy coordinator states.
     pub(crate) fn encode_state(&self, w: &mut crate::checkpoint::StateWriter) {
         w.put_len(self.copies.len());
@@ -256,34 +286,12 @@ impl CoordinatorNode for MultiSwCoordinator {
         now: Slot,
         out: &mut Vec<(Destination, Self::Down)>,
     ) {
-        let j = msg.copy as usize;
-        let mut inner = Vec::new();
-        self.copies[j].handle(from, msg.inner, now, &mut inner);
-        out.extend(inner.into_iter().map(|(dest, m)| {
-            (
-                dest,
-                CopyDown {
-                    copy: msg.copy,
-                    inner: m,
-                },
-            )
-        }));
+        let reply = self.answer(from, msg, now);
+        out.push((Destination::Site(from), reply));
     }
 
-    fn on_slot_start(&mut self, now: Slot, out: &mut Vec<(Destination, Self::Down)>) {
-        let mut inner = Vec::new();
-        for (j, c) in self.copies.iter_mut().enumerate() {
-            c.on_slot_start(now, &mut inner);
-            out.extend(std::mem::take(&mut inner).into_iter().map(|(dest, m)| {
-                (
-                    dest,
-                    CopyDown {
-                        copy: j as u32,
-                        inner: m,
-                    },
-                )
-            }));
-        }
+    fn on_slot_start(&mut self, now: Slot, _out: &mut Vec<(Destination, Self::Down)>) {
+        self.slot_start(now);
     }
 
     fn sample(&self) -> Vec<Element> {

@@ -75,6 +75,29 @@ impl WrSite {
         self.copies[j].1
     }
 
+    /// Number of copies (`s`).
+    #[inline]
+    pub(crate) fn copy_count(&self) -> usize {
+        self.copies.len()
+    }
+
+    /// Copy `j`'s filter: the up-message for `e`, if its copy-`j` hash
+    /// beats `uᵢ`. Inline: a fused adapter calls it once per copy per
+    /// element, from other crates' generic code.
+    #[inline]
+    pub(crate) fn observe_copy(&self, j: usize, e: Element) -> Option<CopyUp<UpElem>> {
+        let (hasher, u_i) = &self.copies[j];
+        (hasher.unit(e.0) < *u_i).then_some(CopyUp {
+            copy: j as u32,
+            inner: UpElem { element: e },
+        })
+    }
+
+    /// A copy's reply step, `uᵢ ← u`; never produces an up-message.
+    pub(crate) fn refresh(&mut self, msg: CopyDown<DownThreshold>) {
+        self.copies[msg.copy as usize].1 = UnitValue(msg.inner.u);
+    }
+
     /// Checkpoint encoding: per copy, the hash function and `uᵢ`.
     pub(crate) fn encode_state(&self, w: &mut crate::checkpoint::StateWriter) {
         w.put_len(self.copies.len());
@@ -108,18 +131,11 @@ impl SiteNode for WrSite {
     type Down = CopyDown<DownThreshold>;
 
     fn observe(&mut self, e: Element, _now: Slot, out: &mut Vec<Self::Up>) {
-        for (j, (hasher, u_i)) in self.copies.iter().enumerate() {
-            if hasher.unit(e.0) < *u_i {
-                out.push(CopyUp {
-                    copy: j as u32,
-                    inner: UpElem { element: e },
-                });
-            }
-        }
+        out.extend((0..self.copies.len()).filter_map(|j| self.observe_copy(j, e)));
     }
 
     fn handle(&mut self, msg: Self::Down, _now: Slot, _out: &mut Vec<Self::Up>) {
-        self.copies[msg.copy as usize].1 = UnitValue(msg.inner.u);
+        self.refresh(msg);
     }
 
     fn memory_tuples(&self) -> usize {
@@ -150,6 +166,20 @@ impl WrCoordinator {
             .iter()
             .filter_map(|(_, b)| b.elements().first().copied())
             .collect()
+    }
+
+    /// One copy's step: offer the element to its bottom-1 structure,
+    /// then answer the reply (always sent) with that copy's threshold.
+    pub(crate) fn answer(&mut self, msg: CopyUp<UpElem>) -> CopyDown<DownThreshold> {
+        let (hasher, bottom) = &mut self.copies[msg.copy as usize];
+        let h = hasher.unit(msg.inner.element.0);
+        bottom.offer(msg.inner.element, h);
+        CopyDown {
+            copy: msg.copy,
+            inner: DownThreshold {
+                u: bottom.threshold().0,
+            },
+        }
     }
 
     /// Checkpoint encoding: per copy, the hash function and its
@@ -193,19 +223,8 @@ impl CoordinatorNode for WrCoordinator {
         _now: Slot,
         out: &mut Vec<(Destination, Self::Down)>,
     ) {
-        let j = msg.copy as usize;
-        let (hasher, bottom) = &mut self.copies[j];
-        let h = hasher.unit(msg.inner.element.0);
-        bottom.offer(msg.inner.element, h);
-        out.push((
-            Destination::Site(from),
-            CopyDown {
-                copy: msg.copy,
-                inner: DownThreshold {
-                    u: bottom.threshold().0,
-                },
-            },
-        ));
+        let reply = self.answer(msg);
+        out.push((Destination::Site(from), reply));
     }
 
     fn sample(&self) -> Vec<Element> {

@@ -1,7 +1,7 @@
 //! Engine-level checkpoint & restore — durable snapshots of the whole
 //! multi-tenant serving layer.
 //!
-//! [`Engine::checkpoint`] drives a [`ShardCmd::Checkpoint`] through each
+//! [`Engine::checkpoint`] drives a checkpoint command through each
 //! shard's FIFO queue: by the time a shard answers, every batch, clock
 //! advance, and query enqueued before the checkpoint call is reflected
 //! in its state — the same in-band barrier that makes snapshots
@@ -70,20 +70,21 @@
 //! The recovery contract — checkpoint → drop → restore → replay the
 //! suffix produces byte-exact samples, memory, and message counts
 //! against an engine that never crashed — is pinned by
-//! `crates/engine/tests/recovery.rs` for all four sampler kinds.
+//! `crates/engine/tests/recovery.rs` for all five sampler kinds.
 
 use std::collections::BTreeMap;
 use std::io;
 
 use crossbeam::channel::{unbounded, Receiver};
 
-use dds_core::checkpoint::{kind, restore_sampler, CheckpointError, StateReader, StateWriter};
-use dds_core::sampler::{SamplerKind, SamplerSpec};
+use dds_core::checkpoint::{kind, restore_as, CheckpointError, StateReader, StateWriter};
+use dds_core::sampler::{KindVisitor, SamplerKind, SamplerSpec, SpecSampler};
 use dds_hash::fnv::fnv1a_64;
-use dds_sim::Slot;
+use dds_sim::{Element, Slot};
 
 use crate::{
-    Engine, EngineConfig, EngineError, ShardCmd, ShardState, Tenant, TenantId, TenantState,
+    shard_index, Engine, EngineConfig, EngineError, ShardCmd, ShardInit, ShardState, Tenant,
+    TenantId, TenantState,
 };
 
 /// Container magic: `b"DDSE"` read as a little-endian `u32`.
@@ -532,107 +533,20 @@ impl Engine {
         }
         let spec = decode_spec(&mut r)?;
         let lateness = decode_lateness(&mut r)?;
-
-        struct ShardRecord {
-            watermark: Slot,
-            seq: u64,
-            counters: [u64; COUNTERS],
-        }
-        let mut records = Vec::with_capacity(shards);
-        // Tenants (and buffered late elements) re-routed by the engine's
-        // own placement hash.
-        let mut tenants: Vec<Vec<(u64, Tenant)>> = Vec::new();
-        let mut buffers: Vec<BTreeMap<u64, Vec<(u64, u64)>>> = Vec::new();
-        tenants.resize_with(shards, Vec::new);
-        buffers.resize_with(shards, BTreeMap::new);
-
-        let engine = Engine::spawn(EngineConfig {
+        let config = EngineConfig {
             shards,
             queue_capacity,
             spec,
             lateness,
-        });
-
-        for _ in 0..shards {
-            let watermark = r.get_slot()?;
-            let seq = r.get_u64()?;
-            let mut counters = [0u64; COUNTERS];
-            for c in &mut counters {
-                *c = r.get_u64()?;
+        };
+        struct RestoreShards<'a>(StateReader<'a>, EngineConfig);
+        impl KindVisitor for RestoreShards<'_> {
+            type Output = Result<Engine, CheckpointError>;
+            fn visit<S: SpecSampler>(self) -> Self::Output {
+                restore_shards::<S>(self.0, self.1)
             }
-            let tenant_count = r.get_len(TENANT_RECORD_MIN)?;
-            for _ in 0..tenant_count {
-                let tenant = r.get_u64()?;
-                let is_parked = r.get_bool()?;
-                let stamp = r.get_u64()?;
-                let blob_len = r.get_len(1)?;
-                let blob = r.get_bytes(blob_len)?;
-                // Validate parked blobs now too, so a corrupt one fails
-                // the restore, not a later rehydration inside a worker.
-                // Shards hash each batch once under the spec's hash, so
-                // a tenant must use that hash if it uses one at all.
-                let sampler = restore_sampler(blob)?;
-                if sampler.hasher().is_some_and(|h| h != spec.hasher()) {
-                    return Err(CheckpointError::Corrupt(
-                        "tenant sampler hashes unlike the document's spec",
-                    ));
-                }
-                let state = if is_parked {
-                    TenantState::Parked(blob.to_vec())
-                } else {
-                    TenantState::Live(sampler)
-                };
-                tenants[engine.shard_of(TenantId(tenant))].push((tenant, Tenant { stamp, state }));
-            }
-            for (slot, entries) in decode_buffer(&mut r)? {
-                for (tenant, element) in entries {
-                    let home = engine.shard_of(TenantId(tenant));
-                    buffers[home]
-                        .entry(slot)
-                        .or_default()
-                        .push((tenant, element));
-                }
-            }
-            records.push(ShardRecord {
-                watermark,
-                seq,
-                counters,
-            });
         }
-        r.expect_end()?;
-
-        for (i, (record, (tenants, buffer))) in records
-            .iter()
-            .zip(tenants.into_iter().zip(buffers))
-            .enumerate()
-        {
-            let shard = &engine.shards[i];
-            shard
-                .tx
-                .send(ShardCmd::Install {
-                    watermark: record.watermark,
-                    seq: record.seq,
-                    tenants,
-                    buffer: buffer.into_iter().collect(),
-                })
-                .expect("shard worker alive");
-            let [elements, batches, advances, evictions, snapshots, snapshot_nanos, backpressure, late_dropped, stale_advances, sweeps] =
-                record.counters;
-            shard.metrics.elements.set(elements);
-            shard.metrics.batches.set(batches);
-            shard.metrics.advances.set(advances);
-            shard.metrics.evictions.set(evictions);
-            shard.metrics.snapshots.set(snapshots);
-            shard.metrics.snapshot_nanos.set(snapshot_nanos);
-            shard.metrics.backpressure.set(backpressure);
-            shard.metrics.late_dropped.set(late_dropped);
-            shard.metrics.stale_advances.set(stale_advances);
-            shard.metrics.sweeps.set(sweeps);
-        }
-        // Barrier: the Installs have landed (and the tenant/watermark
-        // gauges are set) before the engine is handed to the caller.
-        engine.flush();
-        Ok(engine)
+        spec.kind.with_type(RestoreShards(r, config))
     }
 
     /// Read a checkpoint to its end from `r` and [`Engine::restore`] it.
@@ -645,6 +559,87 @@ impl Engine {
         r.read_to_end(&mut bytes)?;
         Ok(Engine::restore(&bytes)?)
     }
+}
+
+/// The shard sections of a full document (read from `r`, positioned
+/// after the header) restored into a running engine for `config`: each
+/// tenant decodes straight into `S`, the spec's sampler type, and the
+/// workers start from their sections, with no second decode.
+fn restore_shards<S: SpecSampler>(
+    mut r: StateReader<'_>,
+    config: EngineConfig,
+) -> Result<Engine, CheckpointError> {
+    let shards = config.shards;
+    let spec_hash = config.spec.hasher();
+    // Watermark and seq belong to section `i`; tenants (and buffered
+    // late elements) are re-routed by the engine's own placement hash.
+    let mut init: Vec<ShardInit<S>> = (0..shards).map(|_| ShardInit::empty()).collect();
+    let mut counters = Vec::with_capacity(shards);
+    for i in 0..shards {
+        init[i].watermark = r.get_slot()?;
+        init[i].seq = r.get_u64()?;
+        let mut c = [0u64; COUNTERS];
+        for v in &mut c {
+            *v = r.get_u64()?;
+        }
+        counters.push(c);
+        let tenant_count = r.get_len(TENANT_RECORD_MIN)?;
+        for _ in 0..tenant_count {
+            let tenant = r.get_u64()?;
+            let is_parked = r.get_bool()?;
+            let stamp = r.get_u64()?;
+            let blob_len = r.get_len(1)?;
+            let blob = r.get_bytes(blob_len)?;
+            // Parked blobs decode now too, so a corrupt one fails the
+            // restore, not a later rehydration inside a worker. Shards
+            // hash each batch once under the spec's hash, so a tenant
+            // must use that hash if it uses one at all.
+            let sampler: S = restore_as(blob)?;
+            if sampler.hasher().is_some_and(|h| h != spec_hash) {
+                return Err(CheckpointError::Corrupt(
+                    "tenant sampler hashes unlike the document's spec",
+                ));
+            }
+            let state = if is_parked {
+                TenantState::Parked(blob.to_vec())
+            } else {
+                TenantState::Live(sampler)
+            };
+            init[shard_index(TenantId(tenant), shards)]
+                .tenants
+                .push((tenant, Tenant { stamp, state }));
+        }
+        for (slot, entries) in decode_buffer(&mut r)? {
+            for (tenant, element) in entries {
+                init[shard_index(TenantId(tenant), shards)]
+                    .buffer
+                    .entry(slot)
+                    .or_default()
+                    .push((TenantId(tenant), Element(element)));
+            }
+        }
+    }
+    r.expect_end()?;
+
+    let engine = Engine::launch(config, init);
+    for (shard, counters) in engine.shards.iter().zip(counters) {
+        let [elements, batches, advances, evictions, snapshots, snapshot_nanos, backpressure, late_dropped, stale_advances, sweeps] =
+            counters;
+        shard.metrics.elements.set(elements);
+        shard.metrics.batches.set(batches);
+        shard.metrics.advances.set(advances);
+        shard.metrics.evictions.set(evictions);
+        shard.metrics.snapshots.set(snapshots);
+        shard.metrics.snapshot_nanos.set(snapshot_nanos);
+        shard.metrics.backpressure.set(backpressure);
+        shard.metrics.late_dropped.set(late_dropped);
+        shard.metrics.stale_advances.set(stale_advances);
+        shard.metrics.sweeps.set(sweeps);
+    }
+    // Barrier: every worker has started (and set its tenant, watermark
+    // and buffer gauges) before the engine is handed to the caller.
+    engine.flush();
+    Ok(engine)
 }
 
 /// One shard's section of a parsed full document.
@@ -1209,6 +1204,25 @@ mod tests {
             Engine::restore(&encode_full(&doc)).err(),
             Some(CheckpointError::Corrupt(
                 "tenant sampler hashes unlike the document's spec"
+            ))
+        );
+    }
+
+    #[test]
+    fn tenant_of_another_kind_is_refused() {
+        // Same seed and s, so the hashes agree: only the kind differs.
+        // Each shard holds one concrete sampler type, so a tenant whose
+        // envelope is of another kind has no place in it.
+        let infinite = SamplerSpec::new(SamplerKind::Infinite, 4, 31);
+        let engine = Engine::spawn(EngineConfig::new(infinite).with_shards(2));
+        engine.observe(TenantId(1), Element(1));
+        let mut doc = parse_full(&engine.checkpoint()).expect("parses");
+        let _ = engine.shutdown();
+        doc.spec = SamplerSpec::new(SamplerKind::Centralized, 4, 31);
+        assert_eq!(
+            Engine::restore(&encode_full(&doc)).err(),
+            Some(CheckpointError::Corrupt(
+                "sampler kind unlike the expected type"
             ))
         );
     }

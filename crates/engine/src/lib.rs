@@ -31,17 +31,22 @@
 //!   batch whose `observe_batch` call returned before the snapshot call
 //!   began is reflected in the sample. [`Engine::flush`] is the explicit
 //!   all-shards barrier.
-//! * **Protocol-generic.** Tenant instances are built from a
-//!   [`SamplerSpec`] behind the object-safe
-//!   [`DistinctSampler`] trait — centralized,
-//!   fused infinite-window (Algorithms 1 & 2), with-replacement, *and*
-//!   sliding-window (Algorithms 3 & 4, single- and multi-copy) samplers
-//!   all serve unchanged.
+//! * **Protocol-generic, dispatched once.** Tenant instances are built
+//!   from a [`SamplerSpec`] — centralized, fused infinite-window
+//!   (Algorithms 1 & 2), with-replacement, *and* sliding-window
+//!   (Algorithms 3 & 4, single- and multi-copy) samplers all serve
+//!   unchanged. [`Engine::spawn`] and [`Engine::restore`] dispatch on
+//!   the spec's kind once
+//!   ([`SamplerKind::with_type`](dds_core::sampler::SamplerKind::with_type))
+//!   and start shard workers generic over that kind's concrete
+//!   [`SpecSampler`] type, so each tenant's sampler lives inline in its
+//!   shard's table and every per-element call is a static one.
 //! * **Time.** Ingest may be timestamped ([`Engine::observe_at`],
 //!   [`Engine::observe_batch_at`]): each shard tracks a **watermark** —
 //!   the highest slot it has seen — and [`Engine::advance`] pushes the
 //!   watermark forward explicitly, driving
-//!   [`DistinctSampler::advance`] across *every* hosted tenant so that a
+//!   [`DistinctSampler::advance`](dds_core::sampler::DistinctSampler::advance)
+//!   across *every* hosted tenant so that a
 //!   tenant whose stream has gone idle still expires its window
 //!   candidates (and frees their memory). Snapshots are
 //!   window-parameterized: every query first advances the queried
@@ -80,7 +85,8 @@ use std::time::Instant;
 
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
 
-use dds_core::sampler::{DistinctSampler, SamplerSpec};
+use dds_core::checkpoint::restore_as;
+use dds_core::sampler::{KindVisitor, SamplerSpec, SpecSampler};
 use dds_hash::splitmix::splitmix64_keyed;
 use dds_hash::SeededHash;
 use dds_obs::{Registry, TelemetrySnapshot};
@@ -95,6 +101,12 @@ pub struct TenantId(pub u64);
 /// Salt for the tenant → shard hash, fixed so placement is stable across
 /// engine restarts with the same shard count.
 const SHARD_SALT: u64 = 0x7e6a_5ce3_9d1b_42f1;
+
+/// [`Engine::shard_of`] for an engine of `shards` shards.
+fn shard_index(tenant: TenantId, shards: usize) -> usize {
+    let h = splitmix64_keyed(tenant.0, SHARD_SALT);
+    ((u128::from(h) * shards as u128) >> 64) as usize
+}
 
 /// Engine deployment parameters.
 #[derive(Debug, Clone, Copy)]
@@ -216,17 +228,6 @@ enum ShardCmd {
     CheckpointDelta {
         since: u64,
         reply: Sender<ShardState>,
-    },
-    /// Install restored state (sent by [`Engine::restore`] before any
-    /// traffic reaches the shard). Tenant entries keep their dirty
-    /// stamps so delta chains span a restore; `buffer` is the restored
-    /// reorder buffer — late elements that were checkpointed between
-    /// arrival and replay.
-    Install {
-        watermark: Slot,
-        seq: u64,
-        tenants: Vec<(u64, Tenant)>,
-        buffer: Vec<(u64, Vec<(u64, u64)>)>,
     },
     /// Acknowledge once every previously enqueued command is processed.
     Flush { reply: Sender<()> },
@@ -367,16 +368,32 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Spawn the shard workers.
+    /// Spawn the shard workers, each generic over the concrete sampler
+    /// type of `config.spec`'s kind.
     ///
     /// # Panics
     /// Panics if `config.shards == 0` or `config.queue_capacity == 0`.
     #[must_use]
     pub fn spawn(config: EngineConfig) -> Self {
+        struct Spawn(EngineConfig);
+        impl KindVisitor for Spawn {
+            type Output = Engine;
+            fn visit<S: SpecSampler>(self) -> Engine {
+                Engine::launch::<S>(self.0, Vec::new())
+            }
+        }
+        config.spec.kind.with_type(Spawn(config))
+    }
+
+    /// Spawn the shard workers for `S`, the concrete sampler type of
+    /// `config.spec`: shard `i` starts from `init[i]`, or empty where
+    /// `init` has no entry.
+    fn launch<S: SpecSampler>(config: EngineConfig, init: Vec<ShardInit<S>>) -> Self {
         assert!(config.shards >= 1, "need at least one shard");
         assert!(config.queue_capacity >= 1, "queue capacity must be ≥ 1");
         let registry = Arc::new(Registry::new());
         let pool = Arc::new(BatchPool::new(config.shards * 4));
+        let mut init = init.into_iter();
         let shards = (0..config.shards)
             .map(|i| {
                 let (tx, rx) = bounded::<ShardCmd>(config.queue_capacity);
@@ -385,17 +402,17 @@ impl Engine {
                 let worker_metrics = Arc::clone(&metrics);
                 let worker_pool = Arc::clone(&pool);
                 let worker_watermark = Arc::clone(&watermark_pub);
-                let spec = config.spec;
-                let lateness = config.lateness;
+                let start = init.next().unwrap_or_else(ShardInit::empty);
+                let (spec, lateness) = (config.spec, config.lateness);
                 let handle = std::thread::spawn(move || {
-                    shard_loop(
-                        &rx,
+                    let worker = ShardWorker::<S>::new(
                         spec,
                         lateness,
+                        start,
                         &worker_metrics,
-                        &worker_pool,
                         &worker_watermark,
-                    )
+                    );
+                    shard_loop(&rx, &worker_pool, worker)
                 });
                 Shard {
                     tx,
@@ -471,8 +488,7 @@ impl Engine {
     /// division on the per-element routing path.
     #[must_use]
     pub fn shard_of(&self, tenant: TenantId) -> usize {
-        let h = splitmix64_keyed(tenant.0, SHARD_SALT);
-        ((u128::from(h) * self.shards.len() as u128) >> 64) as usize
+        shard_index(tenant, self.shards.len())
     }
 
     /// The error a failed send or receive on shard `idx` means: the
@@ -1033,23 +1049,25 @@ fn record_snapshot_latency(metrics: &ShardMetrics, enqueued: Instant) {
 /// observationally identical to a tenant that was never evicted. A
 /// `target` below the blob's own clock leaves the clock where it was
 /// (sampler advances are monotonic).
-fn rehydrate(blob: &[u8], target: Slot) -> Box<dyn DistinctSampler> {
-    let mut sampler = dds_core::checkpoint::restore_sampler(blob)
-        .expect("eviction blob was produced by this engine and must restore");
+fn rehydrate<S: SpecSampler>(blob: &[u8], target: Slot) -> S {
+    let mut sampler: S =
+        restore_as(blob).expect("eviction blob was produced by this engine and must restore");
     sampler.advance(target);
     sampler
 }
 
 /// One hosted tenant: its sampler (live or parked) and the shard
 /// sequence number of its last mutation — the dirty stamp a delta
-/// checkpoint filters on.
-struct Tenant {
-    stamp: u64,
-    state: TenantState,
+/// checkpoint filters on. `S` is the spec's concrete sampler type, held
+/// inline: one table probe reaches the sampler's state with no further
+/// pointer and no vtable.
+pub(crate) struct Tenant<S> {
+    pub(crate) stamp: u64,
+    pub(crate) state: TenantState<S>,
 }
 
-enum TenantState {
-    Live(Box<dyn DistinctSampler>),
+pub(crate) enum TenantState<S> {
+    Live(S),
     /// Evicted once its window drained: the final-state checkpoint
     /// blob. A later observe or query rehydrates from it, so eviction
     /// frees memory without forgetting the tenant's clock or message
@@ -1057,18 +1075,43 @@ enum TenantState {
     Parked(Vec<u8>),
 }
 
-impl Tenant {
+impl<S: SpecSampler> Tenant<S> {
     /// The live sampler, rehydrating a parked one to `target` first.
     /// Ingest passes the *event's* slot as the target (so a resurrected
     /// tenant's clock never jumps past data it is about to receive);
     /// queries pass the shard watermark.
-    fn live(&mut self, target: Slot) -> &mut dyn DistinctSampler {
+    fn live(&mut self, target: Slot) -> &mut S {
         if let TenantState::Parked(blob) = &self.state {
             self.state = TenantState::Live(rehydrate(blob, target));
         }
         match &mut self.state {
-            TenantState::Live(sampler) => sampler.as_mut(),
+            TenantState::Live(sampler) => sampler,
             TenantState::Parked(_) => unreachable!("rehydrated above"),
+        }
+    }
+}
+
+/// A shard's starting state: empty for a fresh engine; for a restored
+/// one, its checkpoint section with every tenant already decoded into
+/// the shard's sampler type.
+pub(crate) struct ShardInit<S> {
+    pub(crate) watermark: Slot,
+    pub(crate) seq: u64,
+    /// Tenant entries keep their dirty stamps, so delta chains span a
+    /// restore.
+    pub(crate) tenants: Vec<(u64, Tenant<S>)>,
+    /// The reorder buffer: late elements checkpointed between arrival
+    /// and replay.
+    pub(crate) buffer: BTreeMap<u64, Vec<(TenantId, Element)>>,
+}
+
+impl<S> ShardInit<S> {
+    pub(crate) fn empty() -> Self {
+        Self {
+            watermark: Slot(0),
+            seq: 0,
+            tenants: Vec::new(),
+            buffer: BTreeMap::new(),
         }
     }
 }
@@ -1113,8 +1156,10 @@ impl Hasher for TenantHash {
 /// One shard worker's owned state plus the handles it records into —
 /// factored into a struct because the apply loop, the reorder-buffer
 /// drain and the self-driven expiry sweep are shared by several command
-/// handlers.
-struct ShardWorker<'a> {
+/// handlers. Generic over `S`, the concrete sampler type of the
+/// engine's spec: every kind is served by this one worker, and each
+/// sampler call in it is static.
+struct ShardWorker<'a, S> {
     spec: SamplerSpec,
     /// `None`: legacy immediate-apply; `Some(L)`: horizon mode with a
     /// reorder buffer and producer-visible refusals.
@@ -1123,7 +1168,7 @@ struct ShardWorker<'a> {
     watermark_pub: &'a AtomicU64,
     /// Every tenant the shard hosts, live or parked, with its dirty
     /// stamp: one probe answers all three.
-    tenants: HashMap<u64, Tenant, TenantHash>,
+    tenants: HashMap<u64, Tenant<S>, TenantHash>,
     /// Highest slot this shard has seen (timestamped ingest, Advance,
     /// or snapshot_at). Monotonic; queries answer as of this watermark.
     watermark: Slot,
@@ -1133,8 +1178,9 @@ struct ShardWorker<'a> {
     /// document's `seq`.
     seq: u64,
     /// The hash every tenant's sampler takes precomputed
-    /// ([`DistinctSampler::hasher`]); `None` for kinds that hash each
-    /// element themselves, whose batches `apply` does not hash.
+    /// ([`DistinctSampler::hasher`](dds_core::sampler::DistinctSampler::hasher));
+    /// `None` for kinds that hash each element themselves, whose
+    /// batches `apply` does not hash.
     batch_hash: Option<SeededHash>,
     /// Persistent scratch for `apply`: the batch's hashes, and one
     /// run's elements for the fused batch path.
@@ -1152,7 +1198,43 @@ struct ShardWorker<'a> {
     sweep_stride: u64,
 }
 
-impl ShardWorker<'_> {
+impl<'a, S: SpecSampler> ShardWorker<'a, S> {
+    /// A worker starting from `start` (see [`ShardInit`]).
+    fn new(
+        spec: SamplerSpec,
+        lateness: Option<u64>,
+        start: ShardInit<S>,
+        metrics: &'a ShardMetrics,
+        watermark_pub: &'a AtomicU64,
+    ) -> Self {
+        let mut w = Self {
+            spec,
+            lateness,
+            metrics,
+            watermark_pub,
+            tenants: HashMap::with_hasher(TenantHash::new()),
+            watermark: Slot(0),
+            seq: start.seq,
+            batch_hash: S::from_spec(&spec).hasher(),
+            hash_scratch: Vec::new(),
+            elem_scratch: Vec::new(),
+            buffered: start.buffer.values().map(Vec::len).sum(),
+            buffer: start.buffer,
+            sweep_stride: 0,
+        };
+        w.raise_watermark(start.watermark);
+        w.tenants.extend(start.tenants);
+        metrics.reorder_buffered.set(w.buffered as u64);
+        if let (Some(window), Some(_)) = (spec.window(), lateness) {
+            // Derived, not persisted: a restored watermark seeds the
+            // sweep stride so the next ingest doesn't re-sweep a
+            // boundary the old engine already crossed.
+            w.sweep_stride = w.cut().0 / window;
+        }
+        w.set_tenant_gauge();
+        w
+    }
+
     /// The replay frontier: slots at or below it can no longer receive
     /// data (arrivals below it are refused), so buffered slots `≤ cut`
     /// are safe to replay and tenant clocks may advance to it.
@@ -1189,11 +1271,11 @@ impl ShardWorker<'_> {
 
     /// The tenant's live sampler — built on first sight, rehydrated to
     /// `target` if parked — stamped dirty at the current seq.
-    fn touch(&mut self, tenant: TenantId, target: Slot) -> &mut dyn DistinctSampler {
+    fn touch(&mut self, tenant: TenantId, target: Slot) -> &mut S {
         let spec = self.spec;
         let entry = self.tenants.entry(tenant.0).or_insert_with(|| Tenant {
             stamp: 0,
-            state: TenantState::Live(spec.build()),
+            state: TenantState::Live(S::from_spec(&spec)),
         });
         entry.stamp = self.seq;
         entry.live(target)
@@ -1413,33 +1495,15 @@ impl ShardWorker<'_> {
     }
 }
 
-/// The shard worker: owns its tenant table (live samplers and parked
-/// blobs), its reorder buffer, and the shard watermark outright;
-/// returns the final tenant count on shutdown.
-fn shard_loop(
+/// The shard worker's command loop: `w` owns its tenant table (live
+/// samplers and parked blobs), its reorder buffer, and the shard
+/// watermark outright; returns the final tenant count on shutdown.
+fn shard_loop<S: SpecSampler>(
     rx: &Receiver<ShardCmd>,
-    spec: SamplerSpec,
-    lateness: Option<u64>,
-    metrics: &ShardMetrics,
     pool: &BatchPool,
-    watermark_pub: &AtomicU64,
+    mut w: ShardWorker<'_, S>,
 ) -> usize {
-    let mut w = ShardWorker {
-        spec,
-        lateness,
-        metrics,
-        watermark_pub,
-        tenants: HashMap::with_hasher(TenantHash::new()),
-        watermark: Slot(0),
-        seq: 0,
-        batch_hash: spec.build().hasher(),
-        hash_scratch: Vec::new(),
-        elem_scratch: Vec::new(),
-        buffer: BTreeMap::new(),
-        buffered: 0,
-        sweep_stride: 0,
-    };
-
+    let (spec, metrics) = (w.spec, w.metrics);
     while let Ok(cmd) = rx.recv() {
         match cmd {
             ShardCmd::One(tenant, e, at) => {
@@ -1590,31 +1654,6 @@ fn shard_loop(
                 // horizon's worth of late data), so the delta carries it
                 // whole and `apply_delta` replaces the base's copy.
                 let _ = reply.send(w.shard_state(Some(since)));
-            }
-            ShardCmd::Install {
-                watermark: restored_watermark,
-                seq: restored_seq,
-                tenants: restored_tenants,
-                buffer: restored_buffer,
-            } => {
-                w.raise_watermark(restored_watermark);
-                w.seq = w.seq.max(restored_seq);
-                w.tenants.extend(restored_tenants);
-                for (slot, entries) in restored_buffer {
-                    w.buffered += entries.len();
-                    w.buffer
-                        .entry(slot)
-                        .or_default()
-                        .extend(entries.iter().map(|&(t, e)| (TenantId(t), Element(e))));
-                }
-                w.metrics.reorder_buffered.set(w.buffered as u64);
-                if let (Some(window), Some(_)) = (spec.window(), w.lateness) {
-                    // Derived, not persisted: the restored watermark
-                    // seeds the sweep stride so the next ingest doesn't
-                    // re-sweep a boundary the old engine already crossed.
-                    w.sweep_stride = w.sweep_stride.max(w.cut().0 / window);
-                }
-                w.set_tenant_gauge();
             }
             ShardCmd::Flush { reply } => {
                 // Flush is a pure barrier, not a sealing operation: it
@@ -1955,6 +1994,15 @@ mod tests {
         assert!(view.protocol_messages > 0);
         assert_eq!(engine.snapshot_view(TenantId(404), None), None);
         let _ = engine.shutdown();
+    }
+
+    /// The bulk-ingest hot table holds Infinite tenants inline: one
+    /// probe reaches the sampler. A new field on the entry or on
+    /// `FusedInfinite` must not silently bloat every bucket again.
+    #[test]
+    fn inline_infinite_tenant_entry_stays_small() {
+        let entry = std::mem::size_of::<Tenant<dds_core::FusedInfinite>>();
+        assert!(entry <= 128, "Tenant<FusedInfinite> is {entry} B");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! checkpoint bytes, and fed the remaining suffix. At every snapshot
 //! point the restored engine must agree with the twin *byte-exactly* —
 //! samples, memory tuples, protocol message counts, watermarks, and the
-//! operational counters — for all four sampler kinds, under both
+//! operational counters — for all five sampler kinds, under both
 //! [`Engine::snapshot`] and [`Engine::snapshot_at`]. Replays come from a
 //! [`ReplayLog`], so prefix and suffix are guaranteed to partition the
 //! exact same feed.
@@ -138,6 +138,12 @@ fn recovery_is_exact(spec: SamplerSpec, tenants: u64, per_tenant_total: u64, str
 #[test]
 fn infinite_recovery_is_exact_at_every_snapshot_point() {
     let spec = SamplerSpec::new(SamplerKind::Infinite, 8, 41_001);
+    recovery_is_exact(spec, 150, 120, 1);
+}
+
+#[test]
+fn centralized_recovery_is_exact_at_every_snapshot_point() {
+    let spec = SamplerSpec::new(SamplerKind::Centralized, 8, 41_005);
     recovery_is_exact(spec, 150, 120, 1);
 }
 
@@ -359,6 +365,18 @@ fn infinite_delta_chain_recovery_is_exact() {
 }
 
 #[test]
+fn centralized_delta_chain_recovery_is_exact() {
+    let spec = SamplerSpec::new(SamplerKind::Centralized, 8, 42_004);
+    delta_recovery_is_exact(spec, 150, 120);
+}
+
+#[test]
+fn with_replacement_delta_chain_recovery_is_exact() {
+    let spec = SamplerSpec::new(SamplerKind::WithReplacement, 4, 42_005);
+    delta_recovery_is_exact(spec, 150, 120);
+}
+
+#[test]
 fn sliding_delta_chain_recovery_is_exact() {
     let spec = SamplerSpec::new(SamplerKind::Sliding { window: 12 }, 1, 42_002);
     delta_recovery_is_exact(spec, 150, 120);
@@ -368,6 +386,58 @@ fn sliding_delta_chain_recovery_is_exact() {
 fn sliding_multi_delta_chain_recovery_is_exact() {
     let spec = SamplerSpec::new(SamplerKind::SlidingMulti { window: 12 }, 3, 42_003);
     delta_recovery_is_exact(spec, 100, 100);
+}
+
+/// Restore then checkpoint is the identity on bytes, for every kind:
+/// each tenant decodes into its kind's concrete sampler type and
+/// re-encodes to the same envelope, parked tenants stay parked, and
+/// stamps, watermarks, sequence numbers and counters carry over.
+#[test]
+fn restore_then_checkpoint_is_byte_identical_for_every_kind() {
+    let kinds = [
+        (SamplerKind::Centralized, 4),
+        (SamplerKind::Infinite, 8),
+        (SamplerKind::WithReplacement, 4),
+        (SamplerKind::Sliding { window: 6 }, 1),
+        (SamplerKind::SlidingMulti { window: 6 }, 3),
+    ];
+    for (i, (kind, s)) in kinds.into_iter().enumerate() {
+        let spec = SamplerSpec::new(kind, s, 44_000 + i as u64);
+        let engine = Engine::spawn(
+            EngineConfig::new(spec)
+                .with_shards(3)
+                .with_queue_capacity(8),
+        );
+        // Tenants below 40 go quiet after slot 1, so a windowed engine
+        // parks them at the slot-12 advance; the rest keep arriving.
+        for slot in 0..20u64 {
+            engine.observe_batch_at(
+                Slot(slot),
+                (0..80u64)
+                    .filter(|&t| t >= 40 || slot < 2)
+                    .map(|t| (TenantId(t), Element((t * 31 + slot * 7) % 97))),
+            );
+            if slot == 12 {
+                engine.advance(Slot(slot));
+            }
+        }
+        engine.flush();
+        if kind.window().is_some() {
+            assert!(
+                engine.metrics().total_evictions() > 0,
+                "{kind:?}: no tenant was parked"
+            );
+        }
+        let bytes = engine.checkpoint();
+        let restored = Engine::restore(&bytes).expect("checkpoint restores");
+        assert_eq!(
+            restored.checkpoint(),
+            bytes,
+            "{kind:?}: the restored engine checkpoints other bytes"
+        );
+        let _ = engine.shutdown();
+        let _ = restored.shutdown();
+    }
 }
 
 /// The incremental-checkpoint acceptance bound: a 1 200-tenant engine

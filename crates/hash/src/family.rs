@@ -47,12 +47,27 @@ impl SeededHash {
         self.kind.hash_u64(element, self.seed)
     }
 
-    /// Hash a whole batch of elements in one pass into `out` (cleared
-    /// first): one algorithm dispatch per batch, a branch-free inner
-    /// loop, and a caller-owned scratch buffer reused across batches.
-    /// Byte-identical to per-element [`SeededHash::hash_u64`] calls.
-    pub fn hash_u64_batch_into(&self, elements: impl IntoIterator<Item = u64>, out: &mut Vec<u64>) {
-        self.kind.hash_u64_batch_into(elements, self.seed, out);
+    /// Hash a whole batch of elements in one pass into `out`, which
+    /// ends up holding exactly the batch's hashes: one algorithm
+    /// dispatch per batch, and a caller-owned scratch buffer reused
+    /// across batches. [`SeededHash::hash_u64_batch_fill`] does the
+    /// hashing; every slot is overwritten, so a buffer already of the
+    /// batch's length is not cleared first.
+    pub fn hash_u64_batch_into<I>(&self, elements: I, out: &mut Vec<u64>)
+    where
+        I: IntoIterator<Item = u64>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let elements = elements.into_iter();
+        out.resize(elements.len(), 0);
+        self.hash_u64_batch_fill(elements, out);
+    }
+
+    /// Hash elements into a caller-owned fixed buffer (a stack chunk),
+    /// one per slot, up to whichever ends first: no allocation, one
+    /// algorithm dispatch. Byte-identical to per-element hashing.
+    pub fn hash_u64_batch_fill(&self, elements: impl IntoIterator<Item = u64>, out: &mut [u64]) {
+        self.kind.hash_u64_batch_fill(elements, self.seed, out);
     }
 }
 

@@ -96,32 +96,34 @@ impl HashKind {
         }
     }
 
-    /// Hash a whole batch of element identifiers in one pass, appending
-    /// the results to `out` (cleared first).
+    /// Hash element identifiers into the caller's buffer, one per slot,
+    /// stopping at whichever of `elements` and `out` ends first.
     ///
     /// The algorithm dispatch happens once per *batch* instead of once
     /// per element, so each arm's inner loop is a branch-free run of
     /// multiply/xor/rotate over the input — the batch-ingest hot path.
     /// Output is byte-identical to calling [`HashKind::hash_u64`] per
     /// element, in input order.
-    pub fn hash_u64_batch_into(
+    pub fn hash_u64_batch_fill(
         self,
         elements: impl IntoIterator<Item = u64>,
         seed: u64,
-        out: &mut Vec<u64>,
+        out: &mut [u64],
     ) {
-        out.clear();
-        match self {
-            HashKind::Murmur2 => out.extend(elements.into_iter().map(|x| murmur64a_u64(x, seed))),
-            HashKind::Murmur3 => out.extend(elements.into_iter().map(|x| murmur3_u64(x, seed))),
-            HashKind::SplitMix => {
-                out.extend(elements.into_iter().map(|x| splitmix64_keyed(x, seed)));
+        fn fill(out: &mut [u64], elements: impl IntoIterator<Item = u64>, f: impl Fn(u64) -> u64) {
+            for (o, x) in out.iter_mut().zip(elements) {
+                *o = f(x);
             }
+        }
+        match self {
+            HashKind::Murmur2 => fill(out, elements, |x| murmur64a_u64(x, seed)),
+            HashKind::Murmur3 => fill(out, elements, |x| murmur3_u64(x, seed)),
+            HashKind::SplitMix => fill(out, elements, |x| splitmix64_keyed(x, seed)),
             HashKind::Sip13 => {
                 let k1 = seed.rotate_left(32) ^ 0xa5a5_a5a5_a5a5_a5a5;
-                out.extend(elements.into_iter().map(|x| siphash13_u64(x, seed, k1)));
+                fill(out, elements, |x| siphash13_u64(x, seed, k1));
             }
-            HashKind::Fmix => out.extend(elements.into_iter().map(|x| fmix64(x ^ seed))),
+            HashKind::Fmix => fill(out, elements, |x| fmix64(x ^ seed)),
         }
     }
 }
@@ -196,11 +198,23 @@ mod tests {
             HashKind::Sip13,
             HashKind::Fmix,
         ] {
-            kind.hash_u64_batch_into(elements.iter().copied(), 7, &mut out);
-            assert_eq!(out.len(), elements.len());
-            for (&x, &h) in elements.iter().zip(&out) {
+            // The fixed buffer fills a prefix and leaves the rest.
+            let mut chunk = [0xdead_u64; 300];
+            kind.hash_u64_batch_fill(elements.iter().copied(), 7, &mut chunk);
+            for (&x, &h) in elements.iter().zip(&chunk) {
                 assert_eq!(h, kind.hash_u64(x, 7), "batch diverged for {kind:?}");
             }
+            assert!(chunk[elements.len()..].iter().all(|&h| h == 0xdead));
+            let mut short = [0u64; 5];
+            kind.hash_u64_batch_fill(elements.iter().copied(), 7, &mut short);
+            assert_eq!(&short[..], &chunk[..5]);
+            // The growable-buffer wrapper clears, sizes and fills.
+            crate::SeededHash::new(kind, 7).hash_u64_batch_into(elements.iter().copied(), &mut out);
+            assert_eq!(
+                &out[..],
+                &chunk[..elements.len()],
+                "into diverged for {kind:?}"
+            );
         }
     }
 
